@@ -152,7 +152,7 @@ double stream_shard(OffloadStack& stack, const StreamScale& s, Layout layout,
         .compute = s.per_iter,
         .body =
             [av](hsa::KernelContext& ctx, const omp::ArgTranslator& tr) {
-              ctx.ptr<double>(tr.device(av))[0] += 1.0;
+              ctx.ptr<double>(tr.device(av), 1)[0] += 1.0;
             },
         .device = exec_device,
     });

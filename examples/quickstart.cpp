@@ -54,7 +54,7 @@ Outcome run_fig2(RuntimeConfig config, std::size_t n) {
     a.first_touch();
     b.first_touch();
     const mem::VirtAddr alpha = rt.global_host_addr("alpha");
-    *stack.memory().space().translate_as<double>(alpha) = 2.0;
+    *stack.memory().space().translate_as<double>(alpha, 1) = 2.0;
 
     // #pragma omp target teams loop map(tofrom: a[:N]) map(to: b[:N])
     //                              map(always, to: alpha)
@@ -69,9 +69,9 @@ Outcome run_fig2(RuntimeConfig config, std::size_t n) {
         .body =
             [av, bv, alpha, n](hsa::KernelContext& ctx,
                                const omp::ArgTranslator& tr) {
-              double* ad = ctx.ptr<double>(tr.device(av));
-              const double* bd = ctx.ptr<double>(tr.device(bv));
-              const double al = *ctx.ptr<double>(tr.device(alpha));
+              double* ad = ctx.ptr<double>(tr.device(av), n);
+              const double* bd = ctx.ptr<double>(tr.device(bv), n);
+              const double al = *ctx.ptr<double>(tr.device(alpha), 1);
               for (std::size_t i = 0; i < n; ++i) {
                 ad[i] += bd[i] * al;
               }

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -51,11 +52,16 @@ class HostArray {
     return mem::AddrRange{addr_, bytes()};
   }
 
-  /// Real backing pointer (host view).
-  [[nodiscard]] T* data() {
-    return rt_->hsa().memory().space().translate_as<T>(addr_);
+  /// Element `i` (host view); marks only it written. Throws
+  /// std::out_of_range for `i >= size()`.
+  [[nodiscard]] T& operator[](std::size_t i) {
+    if (i >= count_) {  // also keeps `i * sizeof(T)` from wrapping
+      throw std::out_of_range("HostArray: index " + std::to_string(i) +
+                              " past size " + std::to_string(count_));
+    }
+    return *rt_->hsa().memory().space().translate_as<T>(addr_ + i * sizeof(T),
+                                                        1);
   }
-  [[nodiscard]] T& operator[](std::size_t i) { return data()[i]; }
 
   /// Timed CPU first touch of the whole array.
   void first_touch() { rt_->host_first_touch(range()); }

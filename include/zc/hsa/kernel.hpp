@@ -35,6 +35,14 @@ class KernelContext {
  public:
   explicit KernelContext(mem::AddressSpace& space) : space_{space} {}
 
+  /// The `count` elements at `a`, which the body may read and write; only
+  /// those are marked written, so only those travel in later SDMA copies.
+  /// Throws std::out_of_range past the end of the allocation.
+  template <typename T>
+  [[nodiscard]] T* ptr(mem::VirtAddr a, std::uint64_t count) {
+    return space_.translate_as<T>(a, count);
+  }
+  /// Uncounted form: marks from `a` to the end of its allocation.
   template <typename T>
   [[nodiscard]] T* ptr(mem::VirtAddr a) {
     return space_.translate_as<T>(a);

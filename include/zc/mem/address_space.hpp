@@ -3,9 +3,11 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -41,13 +43,32 @@ enum class Placement {
   return "?";
 }
 
+/// A byte range [lo, hi) relative to an allocation's base.
+struct Extent {
+  std::uint64_t lo = 0;
+  std::uint64_t hi = 0;
+
+  friend bool operator==(const Extent&, const Extent&) = default;
+};
+
+/// Frees an allocation's backing block: `munmap` for a mapping, `delete[]`
+/// for a heap block.
+struct BackingFree {
+  std::uint64_t mapped_bytes = 0;  ///< mapping length; 0 for a heap block
+  void operator()(std::byte* p) const;
+};
+
 /// One live allocation: simulated address range plus real backing bytes.
 ///
-/// Backing storage is created lazily on first functional access, so
-/// GB-scale simulated buffers that are only ever *timed* (never computed
-/// on) cost no real memory. An unmaterialized allocation reads as all
-/// zeros, which the copy machinery exploits (copying zeros onto zeros is
-/// skipped).
+/// Backing storage is created lazily on the first functional access: an
+/// anonymous private mapping (a heap block below one host page) whose
+/// untouched pages are demand-zero, so GB-scale simulated buffers that a
+/// program only ever *times* cost no real memory. The allocation also keeps
+/// its written extents: the sorted, coalesced byte ranges that may hold
+/// non-zero data, usually one or two. Every byte outside them reads as
+/// zero, and `AddressSpace::copy` moves only the source's written extents,
+/// so an SDMA copy of a 1 GB buffer that a kernel computed 64 doubles of
+/// moves 512 bytes.
 class Allocation {
  public:
   Allocation(VirtAddr base, std::uint64_t bytes, MemKind kind, std::string name);
@@ -130,9 +151,6 @@ class Allocation {
   [[nodiscard]] std::uint64_t remote_pages(AddrRange range, int socket,
                                            std::uint64_t page_bytes) const;
 
-  /// True once real backing storage exists.
-  [[nodiscard]] bool materialized() const { return backing_ != nullptr; }
-
   /// Residency summary, maintained by MemorySystem: how many pages of
   /// this allocation socket `s`'s GPU cannot yet translate. Zero means
   /// fully mapped, which answers any subrange absence query O(1) — the
@@ -195,17 +213,29 @@ class Allocation {
     ddr_resident_ -= n <= ddr_resident_ ? n : ddr_resident_;
   }
 
-  /// Real backing storage (zero-initialized; materializes on first use).
-  [[nodiscard]] std::span<std::byte> data() {
-    ensure_backing();
-    return {backing_.get(), static_cast<std::size_t>(bytes_)};
-  }
+  /// Extents that may hold non-zero data, sorted and coalesced (touching
+  /// extents merge). Empty means the whole allocation reads as zero.
+  [[nodiscard]] const std::vector<Extent>& written() const { return written_; }
 
-  /// Real pointer corresponding to simulated address `a` inside this range.
+  /// Real pointer to the `n` bytes at `a`, which must lie inside this
+  /// allocation (std::out_of_range otherwise). Marks them written: the
+  /// caller may store anywhere in [a, a+n), and nowhere else.
+  [[nodiscard]] std::byte* translate(VirtAddr a, std::uint64_t n);
+
+  /// Uncounted form: marks [a, end), the conservative answer for a caller
+  /// that does not say how far it writes.
   [[nodiscard]] std::byte* translate(VirtAddr a);
 
+  /// The whole backing; marks the whole allocation written.
+  [[nodiscard]] std::span<std::byte> data() {
+    return {translate(base_), static_cast<std::size_t>(bytes_)};
+  }
+
  private:
-  void ensure_backing();
+  friend class AddressSpace;  // `copy` reads and writes extents directly
+
+  std::byte* backing();
+  void mark(std::uint64_t lo, std::uint64_t hi);
 
   VirtAddr base_;
   std::uint64_t bytes_;
@@ -219,7 +249,8 @@ class Allocation {
   std::map<std::uint64_t, int> home_overrides_;  ///< partial-migration homes
   std::vector<std::uint64_t> hbm_resident_;  ///< per-socket charged pages
   std::uint64_t ddr_resident_ = 0;           ///< pages spilled to DDR
-  std::unique_ptr<std::byte[]> backing_;
+  std::unique_ptr<std::byte, BackingFree> backing_;
+  std::vector<Extent> written_;
 };
 
 /// The single simulated virtual address space of a node.
@@ -245,14 +276,34 @@ class AddressSpace {
   [[nodiscard]] Allocation* find(VirtAddr a);
   [[nodiscard]] const Allocation* find(VirtAddr a) const;
 
-  /// Real pointer for simulated address `a`; throws if unmapped.
+  /// Real pointer for the `n` bytes at simulated address `a`, marked
+  /// written (see `Allocation::translate`); throws std::out_of_range if
+  /// they are not inside one allocation.
+  [[nodiscard]] std::byte* translate(VirtAddr a, std::uint64_t n);
+  /// Uncounted form: marks from `a` to the end of its allocation.
   [[nodiscard]] std::byte* translate(VirtAddr a);
 
-  /// Typed convenience over `translate`.
+  /// Typed convenience over `translate`: `count` elements of T at `a`.
+  template <typename T>
+  [[nodiscard]] T* translate_as(VirtAddr a, std::uint64_t count) {
+    if (count > std::numeric_limits<std::uint64_t>::max() / sizeof(T)) {
+      throw std::out_of_range("AddressSpace::translate_as: " +
+                              std::to_string(count) + " elements overflow");
+    }
+    return reinterpret_cast<T*>(translate(a, count * sizeof(T)));
+  }
   template <typename T>
   [[nodiscard]] T* translate_as(VirtAddr a) {
     return reinterpret_cast<T*>(translate(a));
   }
+
+  /// The functional half of an SDMA copy: afterwards [dst, dst+bytes)
+  /// reads exactly as [src, src+bytes) read before, as with `memmove`
+  /// (overlapping ranges included). Only written extents move: the
+  /// destination's written bytes in range are cleared, then the source's
+  /// are copied over and marked written on the destination. Throws
+  /// std::out_of_range unless each range lies inside one allocation.
+  void copy(VirtAddr dst, VirtAddr src, std::uint64_t bytes);
 
   /// Visit every live allocation in address order (victim scans, debug
   /// invariant sweeps). The callback must not allocate or free.
@@ -277,6 +328,10 @@ class AddressSpace {
   }
 
  private:
+  /// The allocation holding all `n` bytes at `a`; std::out_of_range
+  /// naming `what` otherwise.
+  Allocation& holder(VirtAddr a, std::uint64_t n, const char* what);
+
   std::uint64_t page_bytes_;
   std::uint64_t next_ = 0;  // next base offset (page-aligned)
   std::map<std::uint64_t, std::unique_ptr<Allocation>> allocs_;  // by base

@@ -1,7 +1,6 @@
 #include "zc/hsa/runtime.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
 namespace zc::hsa {
@@ -333,10 +332,9 @@ Signal Runtime::memory_async_copy(mem::VirtAddr dst, mem::VirtAddr src,
   const apu::CostParams& c = machine_.costs();
 
   // Functional transfer first: program order on the issuing thread makes
-  // this equivalent to performing it at completion time. Unmaterialized
-  // allocations read as zeros, so zero->zero transfers are skipped and
-  // zero->data transfers become clears — GB-scale benchmark buffers that
-  // are only ever timed never consume real memory.
+  // this equivalent to performing it at completion time. Only the written
+  // extents move (mem::AddressSpace::copy); the timing below prices every
+  // byte regardless.
   mem::Allocation* const src_alloc = mem_.space().find(src);
   mem::Allocation* const dst_alloc = mem_.space().find(dst);
   if (src_alloc == nullptr || !src_alloc->range().contains(src + (bytes - 1))) {
@@ -376,11 +374,7 @@ Signal Runtime::memory_async_copy(mem::VirtAddr dst, mem::VirtAddr src,
                        /*is_write=*/true,
                        "dma-copy-write('" + dst_alloc->name() + "')");
     }
-    if (src_alloc->materialized()) {
-      std::memmove(dst_alloc->translate(dst), src_alloc->translate(src), bytes);
-    } else if (dst_alloc->materialized()) {
-      std::memset(dst_alloc->translate(dst), 0, bytes);
-    }
+    mem_.space().copy(dst, src, bytes);
   }
 
   const Duration setup = machine_.jittered(c.copy_setup);

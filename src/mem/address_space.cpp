@@ -1,10 +1,35 @@
 #include "zc/mem/address_space.hpp"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
+#include <new>
 #include <stdexcept>
 #include <utility>
 
 namespace zc::mem {
+
+namespace {
+
+/// Below one host page a heap block costs no more RSS than a mapping and
+/// saves the system calls.
+std::uint64_t host_page_bytes() {
+  static const auto bytes = static_cast<std::uint64_t>(sysconf(_SC_PAGESIZE));
+  return bytes;
+}
+
+/// `e` clipped to [origin, origin + bytes), relative to `origin`; empty
+/// (lo == hi) when they do not overlap.
+Extent clip(const Extent& e, std::uint64_t origin, std::uint64_t bytes) {
+  const std::uint64_t lo = std::max(e.lo, origin);
+  const std::uint64_t hi = std::min(e.hi, origin + bytes);
+  return lo < hi ? Extent{lo - origin, hi - origin} : Extent{};
+}
+
+}  // namespace
 
 std::string VirtAddr::to_string() const {
   char buf[32];
@@ -16,10 +41,51 @@ Allocation::Allocation(VirtAddr base, std::uint64_t bytes, MemKind kind,
                        std::string name)
     : base_{base}, bytes_{bytes}, kind_{kind}, name_{std::move(name)} {}
 
-void Allocation::ensure_backing() {
-  if (backing_ == nullptr) {
-    backing_.reset(new std::byte[bytes_]());
+void BackingFree::operator()(std::byte* p) const {
+  if (mapped_bytes > 0) {
+    munmap(p, mapped_bytes);
+  } else {
+    delete[] p;
   }
+}
+
+std::byte* Allocation::backing() {
+  if (backing_ == nullptr) {
+    if (bytes_ < host_page_bytes()) {
+      backing_ = {new std::byte[bytes_](), BackingFree{}};
+    } else {
+      void* const p =
+          mmap(nullptr, bytes_, PROT_READ | PROT_WRITE,
+               MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+      if (p == MAP_FAILED) {
+        throw std::bad_alloc();
+      }
+      backing_ = {static_cast<std::byte*>(p), BackingFree{bytes_}};
+    }
+  }
+  return backing_.get();
+}
+
+void Allocation::mark(std::uint64_t lo, std::uint64_t hi) {
+  if (lo >= hi) {
+    return;
+  }
+  // The first extent ending at or after `lo` is the first one [lo, hi)
+  // can overlap or touch; extents are disjoint, so their ends are sorted.
+  auto it = std::lower_bound(
+      written_.begin(), written_.end(), lo,
+      [](const Extent& e, std::uint64_t v) { return e.hi < v; });
+  if (it == written_.end() || it->lo > hi) {
+    written_.insert(it, Extent{lo, hi});
+    return;
+  }
+  auto last = it;
+  while (std::next(last) != written_.end() && std::next(last)->lo <= hi) {
+    ++last;
+  }
+  it->lo = std::min(it->lo, lo);
+  it->hi = std::max(hi, last->hi);
+  written_.erase(std::next(it), std::next(last));
 }
 
 std::uint64_t Allocation::remote_pages(AddrRange range, int socket,
@@ -75,13 +141,20 @@ std::uint64_t Allocation::remote_pages(AddrRange range, int socket,
   return remote;
 }
 
-std::byte* Allocation::translate(VirtAddr a) {
-  if (!range().contains(a)) {
-    throw std::out_of_range("Allocation::translate: address " + a.to_string() +
+std::byte* Allocation::translate(VirtAddr a, std::uint64_t n) {
+  if (!range().contains(a) || n > range().end() - a) {
+    throw std::out_of_range("Allocation::translate: " + std::to_string(n) +
+                            " bytes at " + a.to_string() +
                             " outside allocation '" + name_ + "'");
   }
-  ensure_backing();
-  return backing_.get() + (a - base_);
+  const std::uint64_t off = a - base_;
+  std::byte* const p = backing() + off;
+  mark(off, off + n);
+  return p;
+}
+
+std::byte* Allocation::translate(VirtAddr a) {
+  return translate(a, range().contains(a) ? range().end() - a : 0);
 }
 
 AddressSpace::AddressSpace(std::uint64_t page_bytes) : page_bytes_{page_bytes} {
@@ -162,13 +235,66 @@ const Allocation* AddressSpace::find(VirtAddr a) const {
   return const_cast<AddressSpace*>(this)->find(a);
 }
 
-std::byte* AddressSpace::translate(VirtAddr a) {
+Allocation& AddressSpace::holder(VirtAddr a, std::uint64_t n,
+                                 const char* what) {
   Allocation* alloc = find(a);
-  if (alloc == nullptr) {
-    throw std::out_of_range("AddressSpace::translate: unmapped address " +
-                            a.to_string());
+  if (alloc == nullptr || n > alloc->range().end() - a) {
+    throw std::out_of_range(std::string{what} + ": " + std::to_string(n) +
+                            " bytes at " + a.to_string() +
+                            " are not inside one allocation");
   }
-  return alloc->translate(a);
+  return *alloc;
+}
+
+std::byte* AddressSpace::translate(VirtAddr a, std::uint64_t n) {
+  return holder(a, n, "AddressSpace::translate").translate(a, n);
+}
+
+std::byte* AddressSpace::translate(VirtAddr a) {
+  return holder(a, 0, "AddressSpace::translate").translate(a);
+}
+
+void AddressSpace::copy(VirtAddr dst, VirtAddr src, std::uint64_t bytes) {
+  Allocation& to = holder(dst, bytes, "AddressSpace::copy destination");
+  Allocation& from = holder(src, bytes, "AddressSpace::copy source");
+  const std::uint64_t s0 = src - from.base();
+  const std::uint64_t d0 = dst - to.base();
+
+  // The source's written bytes in range, as offsets into the range.
+  std::vector<Extent> pieces;
+  for (const Extent& e : from.written_) {
+    if (const Extent p = clip(e, s0, bytes); p.lo < p.hi) {
+      pieces.push_back(p);
+    }
+  }
+  const std::byte* const in =
+      pieces.empty() ? nullptr : from.backing_.get() + s0;
+  // Within one allocation, stage the source first: clearing the
+  // destination must not clobber bytes still to be read.
+  std::vector<std::byte> staged;
+  if (&to == &from) {
+    for (const Extent& p : pieces) {
+      staged.insert(staged.end(), in + p.lo, in + p.hi);
+    }
+  }
+  // Destination bytes the source has not written must read as zero.
+  for (const Extent& e : to.written_) {
+    if (const Extent z = clip(e, d0, bytes); z.lo < z.hi) {
+      std::memset(to.backing_.get() + d0 + z.lo, 0, z.hi - z.lo);
+    }
+  }
+  if (pieces.empty()) {
+    return;
+  }
+  std::byte* const out = to.backing() + d0;
+  std::size_t at = 0;
+  for (const Extent& p : pieces) {
+    const std::byte* const piece =
+        staged.empty() ? in + p.lo : staged.data() + at;
+    std::memcpy(out + p.lo, piece, p.hi - p.lo);
+    at += p.hi - p.lo;
+    to.mark(d0 + p.lo, d0 + p.hi);
+  }
 }
 
 }  // namespace zc::mem

@@ -69,8 +69,10 @@ Program make_buggy_missing_map() {
             .compute = 5_us,
             .body =
                 [&](hsa::KernelContext& ctx, const ArgTranslator& tr) {
-                  const double* m = ctx.ptr<double>(tr.device(mapped.addr()));
-                  const double* o = ctx.ptr<double>(tr.device(orphan.addr()));
+                  const double* m =
+                      ctx.ptr<double>(tr.device(mapped.addr()), kN);
+                  const double* o =
+                      ctx.ptr<double>(tr.device(orphan.addr()), kN);
                   for (std::size_t i = 0; i < kN; ++i) {
                     sum += m[i] + o[i];
                   }
@@ -97,7 +99,7 @@ Program make_buggy_stale_data() {
             .compute = 5_us,
             .body =
                 [&](hsa::KernelContext& ctx, const ArgTranslator& tr) {
-                  double* p = ctx.ptr<double>(tr.device(x.addr()));
+                  double* p = ctx.ptr<double>(tr.device(x.addr()), kN);
                   for (std::size_t i = 0; i < kN; ++i) {
                     p[i] *= 2.0;
                   }
@@ -135,7 +137,7 @@ Program make_buggy_double_delete() {
             .compute = 5_us,
             .body =
                 [&](hsa::KernelContext& ctx, const ArgTranslator& tr) {
-                  double* p = ctx.ptr<double>(tr.device(x.addr()));
+                  double* p = ctx.ptr<double>(tr.device(x.addr()), kN);
                   for (std::size_t i = 0; i < kN; ++i) {
                     p[i] *= 2.0;
                   }
@@ -182,8 +184,8 @@ Program make_buggy_coherence() {
             .compute = 5_us,
             .body =
                 [&](hsa::KernelContext& ctx, const ArgTranslator& tr) {
-                  const double* p = ctx.ptr<double>(tr.device(x.addr()));
-                  double* r = ctx.ptr<double>(tr.device(result.addr()));
+                  const double* p = ctx.ptr<double>(tr.device(x.addr()), kN);
+                  double* r = ctx.ptr<double>(tr.device(result.addr()), 1);
                   for (std::size_t i = 0; i < kN; ++i) {
                     r[0] += p[i];
                   }

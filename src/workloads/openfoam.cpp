@@ -47,7 +47,8 @@ Program make_openfoam(const OpenfoamParams& params) {
       // Solver control global, updated by the host between time steps and
       // read by kernels through the USM double indirection.
       const VirtAddr relax = rt.global_host_addr("relax");
-      double* relax_host = stack.memory().space().translate_as<double>(relax);
+      double* relax_host =
+          stack.memory().space().translate_as<double>(relax, 1);
       *relax_host = 0.9;
 
       const VirtAddr pv = p.addr();
@@ -69,9 +70,10 @@ Program make_openfoam(const OpenfoamParams& params) {
               .body =
                   [pv, qv, relax, functional](hsa::KernelContext& ctx,
                                               const omp::ArgTranslator& tr) {
-                    const double* pd = ctx.ptr<double>(tr.device(pv));
-                    double* qd = ctx.ptr<double>(tr.device(qv));
-                    const double rf = *ctx.ptr<double>(tr.device(relax));
+                    const double* pd =
+                        ctx.ptr<double>(tr.device(pv), functional);
+                    double* qd = ctx.ptr<double>(tr.device(qv), functional);
+                    const double rf = *ctx.ptr<double>(tr.device(relax), 1);
                     for (std::size_t i = 0; i < functional; ++i) {
                       qd[i] = rf * pd[i] + (i > 0 ? 0.25 * pd[i - 1] : 0.0);
                     }
@@ -87,13 +89,15 @@ Program make_openfoam(const OpenfoamParams& params) {
               .body =
                   [pv, qv, rv, functional](hsa::KernelContext& ctx,
                                            const omp::ArgTranslator& tr) {
-                    const double* pd = ctx.ptr<double>(tr.device(pv));
-                    const double* qd = ctx.ptr<double>(tr.device(qv));
+                    const double* pd =
+                        ctx.ptr<double>(tr.device(pv), functional);
+                    const double* qd =
+                        ctx.ptr<double>(tr.device(qv), functional);
                     double dot = 0.0;
                     for (std::size_t i = 0; i < functional; ++i) {
                       dot += pd[i] * qd[i];
                     }
-                    ctx.ptr<double>(tr.device(rv))[0] = dot;
+                    ctx.ptr<double>(tr.device(rv), 1)[0] = dot;
                   },
           });
           // Host-side convergence check: reads the GPU-written residual
@@ -111,8 +115,9 @@ Program make_openfoam(const OpenfoamParams& params) {
               .body =
                   [pv, qv, functional](hsa::KernelContext& ctx,
                                        const omp::ArgTranslator& tr) {
-                    double* pd = ctx.ptr<double>(tr.device(pv));
-                    const double* qd = ctx.ptr<double>(tr.device(qv));
+                    double* pd = ctx.ptr<double>(tr.device(pv), functional);
+                    const double* qd =
+                        ctx.ptr<double>(tr.device(qv), functional);
                     for (std::size_t i = 0; i < functional; ++i) {
                       pd[i] += 1e-4 * qd[i];
                     }

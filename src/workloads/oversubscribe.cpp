@@ -88,9 +88,9 @@ double oversubscribe_body(OffloadStack& stack, const OversubscribeParams& p) {
           .body =
               [accv, datav, s, i](hsa::KernelContext& ctx,
                                   const omp::ArgTranslator& tr) {
-                double* cell = ctx.ptr<double>(tr.device(datav));
+                double* cell = ctx.ptr<double>(tr.device(datav), 1);
                 cell[0] += static_cast<double>((s + 1) * (i + 1));
-                ctx.ptr<double>(tr.device(accv))[0] += cell[0];
+                ctx.ptr<double>(tr.device(accv), 1)[0] += cell[0];
               },
           .device = 0,
       });

@@ -181,7 +181,7 @@ void run_thread(OffloadStack& stack, const QmcpackParams& params, int tid,
         .body =
             [posv, functional, ctx](hsa::KernelContext& kc,
                                     const omp::ArgTranslator& tr) {
-              double* p = kc.ptr<double>(tr.device(posv));
+              double* p = kc.ptr<double>(tr.device(posv), functional);
               for (std::size_t i = 0; i < functional; ++i) {
                 p[i] += 1e-3 * static_cast<double>((ctx->h + i) % 7);
               }
@@ -198,8 +198,8 @@ void run_thread(OffloadStack& stack, const QmcpackParams& params, int tid,
         .body =
             [psiv, posv, functional](hsa::KernelContext& kc,
                                      const omp::ArgTranslator& tr) {
-              double* psi = kc.ptr<double>(tr.device(psiv));
-              const double* p = kc.ptr<double>(tr.device(posv));
+              double* psi = kc.ptr<double>(tr.device(psiv), functional);
+              const double* p = kc.ptr<double>(tr.device(posv), functional);
               for (std::size_t i = 0; i < functional; ++i) {
                 psi[i] += 1e-6 * p[i];
               }
@@ -217,8 +217,8 @@ void run_thread(OffloadStack& stack, const QmcpackParams& params, int tid,
         .compute = params.kernel_base,
         .body =
             [r1, psiv](hsa::KernelContext& kc, const omp::ArgTranslator& tr) {
-              double* r = kc.ptr<double>(tr.device(r1));
-              const double* psi = kc.ptr<double>(tr.device(psiv));
+              double* r = kc.ptr<double>(tr.device(r1), 1);
+              const double* psi = kc.ptr<double>(tr.device(psiv), 1);
               r[0] += psi[0];
             },
         .device = device,

@@ -93,8 +93,8 @@ double run_compute(OffloadStack& stack, const ServiceJobSpec& spec,
           .body =
               [datav, outv, functional, seed, k](
                   hsa::KernelContext& kc, const omp::ArgTranslator& tr) {
-                double* d = kc.ptr<double>(tr.device(datav));
-                double* o = kc.ptr<double>(tr.device(outv));
+                double* d = kc.ptr<double>(tr.device(datav), functional);
+                double* o = kc.ptr<double>(tr.device(outv), functional);
                 const auto ku = static_cast<std::uint64_t>(k);
                 for (std::size_t i = 0; i < functional; ++i) {
                   d[i] = val(seed, ku, i);
@@ -151,7 +151,7 @@ double run_stream(OffloadStack& stack, const ServiceJobSpec& spec,
         .body =
             [sv, functional, seed, k](hsa::KernelContext& kc,
                                       const omp::ArgTranslator& tr) {
-              double* s = kc.ptr<double>(tr.device(sv));
+              double* s = kc.ptr<double>(tr.device(sv), functional);
               const auto ku = static_cast<std::uint64_t>(k);
               for (std::size_t i = 0; i < functional; ++i) {
                 s[i] = val(seed, ku, i);
@@ -205,7 +205,7 @@ double run_staged(OffloadStack& stack, const ServiceJobSpec& spec,
           .body =
               [resultv, functional, seed, k](hsa::KernelContext& kc,
                                              const omp::ArgTranslator& tr) {
-                double* r = kc.ptr<double>(tr.device(resultv));
+                double* r = kc.ptr<double>(tr.device(resultv), functional);
                 const auto ku = static_cast<std::uint64_t>(k);
                 for (std::size_t i = 0; i < functional; ++i) {
                   r[i] = val(seed, ku, i);

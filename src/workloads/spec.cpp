@@ -81,7 +81,7 @@ double stencil_shard(OffloadStack& stack, const StencilParams& params,
         .compute = params.per_iter_compute,
         .body =
             [resv](hsa::KernelContext& ctx, const omp::ArgTranslator& tr) {
-              ctx.ptr<double>(tr.device(resv))[0] += 0.5;
+              ctx.ptr<double>(tr.device(resv), 1)[0] += 0.5;
             },
         .device = device,
     });
@@ -128,7 +128,7 @@ double lbm_shard(OffloadStack& stack, const LbmParams& params, int device) {
         .compute = params.per_iter_compute,
         .body =
             [massv](hsa::KernelContext& ctx, const omp::ArgTranslator& tr) {
-              ctx.ptr<double>(tr.device(massv))[0] += 1.0;
+              ctx.ptr<double>(tr.device(massv), 1)[0] += 1.0;
             },
         .device = device,
     });
@@ -176,7 +176,7 @@ double ep_shard(OffloadStack& stack, const EpParams& params, int device) {
         .compute = params.per_batch_compute,
         .body =
             [cv](hsa::KernelContext& ctx, const omp::ArgTranslator& tr) {
-              ctx.ptr<double>(tr.device(cv))[0] += 2.0;
+              ctx.ptr<double>(tr.device(cv), 1)[0] += 2.0;
             },
         .device = device,
     });
@@ -227,7 +227,7 @@ double run_alloc_cycle_benchmark(OffloadStack& stack, std::uint64_t array_bytes,
           .compute = dominant ? big_kernel : per_kernel,
           .body =
               [nv](hsa::KernelContext& ctx, const omp::ArgTranslator& tr) {
-                ctx.ptr<double>(tr.device(nv))[0] += 1.0;
+                ctx.ptr<double>(tr.device(nv), 1)[0] += 1.0;
               },
           .device = device,
       });

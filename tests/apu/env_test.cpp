@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
-#include <tuple>
 
 namespace zc::apu {
 namespace {
@@ -63,7 +63,16 @@ TEST(RunEnvironment, ToStringRendersAdaptiveMode) {
 // spelling (including the case-insensitive ones) alongside the boolean
 // forms the other variables share.
 
-using ApuMapsCase = std::tuple<const char* /*value*/, ApuMapsMode>;
+struct ApuMapsCase {
+  const char* value;
+  ApuMapsMode expected;
+};
+
+// Print the spelling itself rather than the literal's address, so the
+// generated test names are the same on every build and run.
+void PrintTo(const ApuMapsCase& c, std::ostream* os) {
+  *os << "(\"" << c.value << "\", " << to_string(c.expected) << ")";
+}
 
 class ApuMapsValues : public ::testing::TestWithParam<ApuMapsCase> {};
 

@@ -76,6 +76,19 @@ std::vector<double> run_fig2(RuntimeConfig cfg, std::size_t n) {
   return result;
 }
 
+TEST(HostArray, IndexPastTheEndThrows) {
+  auto stack = make_stack(RuntimeConfig::ImplicitZeroCopy);
+  stack->sched().run_single([&] {
+    HostArray<double> a{stack->omp(), 8, "a"};
+    a[7] = 1.0;
+    EXPECT_DOUBLE_EQ(a[7], 1.0);
+    EXPECT_THROW((void)a[8], std::out_of_range);
+    // 2^61 * sizeof(double) wraps to 0: must not alias a[0].
+    EXPECT_THROW((void)a[std::size_t{1} << 61], std::out_of_range);
+    a.release();
+  });
+}
+
 TEST(OffloadRuntime, Fig2ResultsIdenticalAcrossAllConfigurations) {
   const std::size_t n = 1024;
   const std::vector<double> reference = run_fig2(RuntimeConfig::LegacyCopy, n);

@@ -1,8 +1,10 @@
 #include "zc/hsa/runtime.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <cstring>
+#include <span>
 #include <vector>
 
 namespace zc::hsa {
@@ -389,6 +391,156 @@ TEST_F(HsaRuntimeTest, CopyBetweenPoolAndHostMemoryWorksBothWays) {
       ASSERT_EQ(h[i], static_cast<std::uint8_t>(255 - i));
     }
   });
+}
+
+/// All bytes of `a` as the host sees them. Marks the whole allocation
+/// written, so take it after every `written()` check.
+std::vector<std::uint8_t> contents(mem::Allocation& a) {
+  const std::span<std::byte> d = a.data();
+  std::vector<std::uint8_t> out(d.size());
+  std::memcpy(out.data(), d.data(), d.size());
+  return out;
+}
+
+/// Writes `value` into the `n` bytes at `a` through a counted translate.
+void fill(mem::AddressSpace& space, mem::VirtAddr a, std::uint64_t n,
+          std::uint8_t value) {
+  std::memset(space.translate(a, n), value, n);
+}
+
+TEST_F(HsaRuntimeTest, CopyFromUnwrittenSourceClearsOnlyWrittenDestination) {
+  run([&] {
+    mem::Allocation& src = mem_.os_alloc(256, "src");
+    mem::Allocation& dst = mem_.os_alloc(256, "dst");
+    fill(mem_.space(), dst.base(), 16, 0xab);
+    fill(mem_.space(), dst.base() + 200, 16, 0xcd);
+    rt_.signal_wait_scacquire(
+        rt_.memory_async_copy(dst.base() + 8, src.base(), 100));
+    EXPECT_TRUE(src.written().empty());
+    EXPECT_EQ(dst.written(),
+              (std::vector<mem::Extent>{{0, 16}, {200, 216}}));
+    std::vector<std::uint8_t> expect(256, 0);
+    std::memset(expect.data(), 0xab, 8);
+    std::memset(expect.data() + 200, 0xcd, 16);
+    EXPECT_EQ(contents(dst), expect);
+  });
+}
+
+TEST_F(HsaRuntimeTest, PartialCopyAtOffsetsMatchesMemmove) {
+  run([&] {
+    mem::Allocation& src = mem_.os_alloc(256, "src");
+    mem::Allocation& dst = mem_.os_alloc(256, "dst");
+    auto* s = reinterpret_cast<std::uint8_t*>(
+        mem_.space().translate(src.base() + 64, 64));
+    for (int i = 0; i < 64; ++i) {
+      s[i] = static_cast<std::uint8_t>(i + 1);
+    }
+    fill(mem_.space(), src.base(), 8, 0x11);
+    fill(mem_.space(), dst.base() + 100, 20, 0xee);
+    std::vector<std::uint8_t> expect(256, 0);
+    std::memset(expect.data() + 100, 0xee, 20);
+
+    // dst[32, 112) <- src[60, 140): four zero bytes, the 64 written ones,
+    // twelve zero bytes that clear part of dst's own extent.
+    rt_.signal_wait_scacquire(
+        rt_.memory_async_copy(dst.base() + 32, src.base() + 60, 80));
+    EXPECT_EQ(dst.written(), (std::vector<mem::Extent>{{36, 120}}));
+    std::vector<std::uint8_t> model = contents(src);
+    std::memmove(expect.data() + 32, model.data() + 60, 80);
+    EXPECT_EQ(contents(dst), expect);
+  });
+}
+
+TEST_F(HsaRuntimeTest, OverlappingCopyWithinOneAllocationMatchesMemmove) {
+  run([&] {
+    mem::Allocation& buf = mem_.os_alloc(256, "buf");
+    auto* b = reinterpret_cast<std::uint8_t*>(
+        mem_.space().translate(buf.base(), 128));
+    for (int i = 0; i < 128; ++i) {
+      b[i] = static_cast<std::uint8_t>(i + 1);
+    }
+    fill(mem_.space(), buf.base() + 192, 8, 0x5a);
+    std::vector<std::uint8_t> expect(256, 0);
+    std::memcpy(expect.data(), b, 128);
+    std::memset(expect.data() + 192, 0x5a, 8);
+
+    // Forward overlap, then backward overlap.
+    rt_.signal_wait_scacquire(
+        rt_.memory_async_copy(buf.base() + 32, buf.base(), 160));
+    std::memmove(expect.data() + 32, expect.data(), 160);
+    rt_.signal_wait_scacquire(
+        rt_.memory_async_copy(buf.base(), buf.base() + 16, 200));
+    std::memmove(expect.data(), expect.data() + 16, 200);
+    EXPECT_EQ(contents(buf), expect);
+  });
+}
+
+TEST(HsaCopyFaults, InjectedCopyFaultsDeliverNothing) {
+  for (const char* faults : {"sdma@call=1", "sdma_stall@call=1"}) {
+    SCOPED_TRACE(faults);
+    apu::Machine::Config config;
+    config.env.ompx_apu_faults = faults;
+    config.env.watchdog = apu::parse_watchdog("100us");
+    apu::Machine machine{std::move(config)};
+    mem::MemorySystem mem{machine};
+    Runtime rt{machine, mem};
+    machine.sched().run_single([&] {
+      mem::Allocation& src = mem.os_alloc(256, "src");
+      mem::Allocation& dst = mem.os_alloc(256, "dst");
+      fill(mem.space(), src.base() + 8, 16, 0x42);
+      fill(mem.space(), dst.base(), 32, 0x77);
+      Signal sig = rt.memory_async_copy(dst.base(), src.base(), 256);
+      rt.signal_wait_scacquire(sig);
+      EXPECT_TRUE(sig.errored() || sig.aborted());
+      EXPECT_EQ(dst.written(), (std::vector<mem::Extent>{{0, 32}}));
+      std::vector<std::uint8_t> expect(256, 0);
+      std::memset(expect.data(), 0x77, 32);
+      EXPECT_EQ(contents(dst), expect);
+      // The resubmission delivers the source exactly.
+      Signal again = rt.memory_async_copy(dst.base(), src.base(), 256);
+      rt.signal_wait_scacquire(again);
+      EXPECT_FALSE(again.errored() || again.aborted());
+      EXPECT_EQ(contents(dst), contents(src));
+    });
+  }
+}
+
+TEST_F(HsaRuntimeTest, CountedKernelPointerPastTheAllocationThrows) {
+  run([&] {
+    mem::Allocation& a = mem_.os_alloc(8 * sizeof(double), "v");
+    KernelContext ctx{mem_.space()};
+    EXPECT_NO_THROW((void)ctx.ptr<double>(a.base(), 8));
+    EXPECT_THROW((void)ctx.ptr<double>(a.base(), 9), std::out_of_range);
+    EXPECT_THROW((void)ctx.ptr<double>(a.base() + sizeof(double), 8),
+                 std::out_of_range);
+  });
+}
+
+/// Peak resident set of this process so far, in KB (Linux `ru_maxrss`).
+long peak_rss_kb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
+}
+
+TEST_F(HsaRuntimeTest, GigabyteCopiesOfOneWrittenDoubleStayOutOfRss) {
+  const std::uint64_t bytes = 1ULL << 30;
+  const long before = peak_rss_kb();
+  run([&] {
+    mem::Allocation& host = mem_.os_alloc(bytes, "host");
+    const mem::VirtAddr dev = rt_.memory_pool_allocate(bytes, "dev");
+    *mem_.space().translate_as<double>(host.base() + bytes / 2, 1) = 3.0;
+    for (int i = 0; i < 20; ++i) {
+      rt_.signal_wait_scacquire(
+          rt_.memory_async_copy(dev, host.base(), bytes));
+      rt_.signal_wait_scacquire(
+          rt_.memory_async_copy(host.base(), dev, bytes));
+    }
+    EXPECT_EQ(*mem_.space().translate_as<double>(dev + bytes / 2, 1), 3.0);
+    EXPECT_EQ(host.written(),
+              (std::vector<mem::Extent>{{bytes / 2, bytes / 2 + 8}}));
+  });
+  EXPECT_LT(peak_rss_kb() - before, 64L * 1024);
 }
 
 TEST_F(HsaRuntimeTest, JitteredRunsDifferButStayDeterministicPerSeed) {

@@ -4,6 +4,7 @@
 
 #include <cstring>
 #include <stdexcept>
+#include <vector>
 
 namespace zc::mem {
 namespace {
@@ -114,6 +115,73 @@ TEST(Allocation, TranslateOutsideRangeThrows) {
   AddressSpace as{kPage};
   Allocation& a = as.allocate(100, MemKind::HostOs, "a");
   EXPECT_THROW((void)a.translate(a.base() + 100), std::out_of_range);
+}
+
+TEST(Allocation, CountedTranslateChecksTheWholeExtent) {
+  AddressSpace as{kPage};
+  Allocation& a = as.allocate(100, MemKind::HostOs, "a");
+  EXPECT_NO_THROW((void)a.translate(a.base() + 96, 4));
+  EXPECT_THROW((void)a.translate(a.base() + 96, 5), std::out_of_range);
+  EXPECT_THROW((void)as.translate_as<double>(a.base() + 96, 1),
+               std::out_of_range);
+  // 2^61 doubles is 2^64 bytes, which would wrap to zero unchecked.
+  EXPECT_THROW((void)as.translate_as<double>(a.base(), 1ULL << 61),
+               std::out_of_range);
+  EXPECT_EQ(a.written(), (std::vector<Extent>{{96, 100}}));
+}
+
+TEST(Allocation, WrittenExtentsCoalesceAndStaySplitAcrossGaps) {
+  AddressSpace as{kPage};
+  Allocation& a = as.allocate(4096, MemKind::HostOs, "a");
+  (void)as.translate_as<double>(a.base() + 64, 2);  // [64, 80)
+  (void)as.translate_as<double>(a.base(), 1);       // [0, 8)
+  (void)as.translate_as<double>(a.base() + 200, 1);  // [200, 208)
+  EXPECT_EQ(a.written(),
+            (std::vector<Extent>{{0, 8}, {64, 80}, {200, 208}}));
+  // Touching extents merge; a write inside an extent changes nothing.
+  (void)as.translate_as<double>(a.base() + 8, 1);
+  (void)as.translate_as<double>(a.base() + 68, 1);
+  EXPECT_EQ(a.written(),
+            (std::vector<Extent>{{0, 16}, {64, 80}, {200, 208}}));
+  // One write spanning two gaps swallows the extents between them.
+  (void)as.translate(a.base() + 12, 192);  // [12, 204)
+  EXPECT_EQ(a.written(), (std::vector<Extent>{{0, 208}}));
+  // Zero bytes mark nothing.
+  (void)as.translate(a.base() + 1000, 0);
+  EXPECT_EQ(a.written(), (std::vector<Extent>{{0, 208}}));
+}
+
+TEST(Allocation, UncountedTranslateMarksTheTail) {
+  AddressSpace as{kPage};
+  Allocation& a = as.allocate(3 * kPage, MemKind::HostOs, "a");
+  (void)as.translate_as<double>(a.base() + 16, 1);
+  (void)as.translate(a.base() + kPage);
+  EXPECT_EQ(a.written(),
+            (std::vector<Extent>{{16, 24}, {kPage, 3 * kPage}}));
+}
+
+TEST(Allocation, UntouchedAllocationReadsAsZero) {
+  AddressSpace as{kPage};
+  Allocation& a = as.allocate(8 * kPage, MemKind::HostOs, "big");
+  EXPECT_TRUE(a.written().empty());
+  // Reading an extent marks it, but demand-zero pages read as zero.
+  const std::uint64_t stride = kPage / 2 + 8;
+  for (std::uint64_t off = 0; off + 8 <= a.bytes(); off += stride) {
+    EXPECT_EQ(*as.translate_as<std::uint64_t>(a.base() + off, 1), 0u);
+  }
+}
+
+TEST(AddressSpace, CopyMovesOnlyWrittenExtents) {
+  AddressSpace as{kPage};
+  Allocation& src = as.allocate(4 * kPage, MemKind::HostOs, "src");
+  Allocation& dst = as.allocate(4 * kPage, MemKind::DevicePool, "dst");
+  *as.translate_as<double>(src.base() + kPage, 1) = 1.5;
+  as.copy(dst.base(), src.base(), src.bytes());
+  EXPECT_EQ(dst.written(), (std::vector<Extent>{{kPage, kPage + 8}}));
+  EXPECT_EQ(*as.translate_as<double>(dst.base() + kPage, 1), 1.5);
+  EXPECT_THROW(as.copy(dst.base() + 1, src.base(), dst.bytes()),
+               std::out_of_range);
+  EXPECT_THROW(as.copy(dst.base(), VirtAddr{12345}, 8), std::out_of_range);
 }
 
 }  // namespace
