@@ -21,7 +21,11 @@
 //   * pf-hang      prefault_hang@call=1 — a hung prefault syscall,
 //                  recovered through the retry ladder after the abort;
 //   * xnack-lock   xnack_livelock@call=1 — fault servicing never
-//                  converges; the kernel is aborted and replayed.
+//                  converges; the kernel is aborted and replayed;
+//   * err-then-stall  sdma@call=24;sdma_stall@call=26 — under Legacy Copy,
+//                  call 26 is the resubmission of errored call 24, and it
+//                  stalls. The retry ladder must replay it rather than
+//                  take the stalled resubmission for a success.
 //
 // The hang rows measure the watchdog-recovery overhead per configuration:
 // budget wait + queue teardown/rebuild + replay, relative to fault-free.
@@ -29,11 +33,12 @@
 // Acceptance bars (the binary exits 1 if any is violated):
 //   * every faulted run computes the exact checksum of its configuration's
 //     fault-free run (degradation changes timing, never data);
-//   * no schedule provokes a RegionFailed — all four are survivable;
+//   * no schedule provokes a RegionFailed — all of them are survivable;
 //   * the degraded paths actually run: under oom-cap Legacy Copy records
 //     an OOM fallback to zero-copy, under eintr-burst Eager Maps records a
 //     successful backoff retry, under sdma-err Legacy Copy records a
-//     successful copy resubmission.
+//     successful copy resubmission, and every hang row records a
+//     WatchdogRecovered in its configuration.
 //
 // Runs are deterministic (no measurement jitter): the bars compare
 // degraded-mode control flow, not noise.
@@ -118,6 +123,9 @@ int main(int argc, char** argv) {
        "500us:recover"},
       {"xnack-lock", "xnack_livelock@call=1", /*capped=*/false,
        {{RuntimeConfig::ImplicitZeroCopy, FaultEvent::WatchdogRecovered}},
+       "500us:recover"},
+      {"err-then-stall", "sdma@call=24;sdma_stall@call=26", /*capped=*/false,
+       {{RuntimeConfig::LegacyCopy, FaultEvent::WatchdogRecovered}},
        "500us:recover"},
   };
 

@@ -7,7 +7,6 @@
 #include "zc/apu/params.hpp"
 #include "zc/fabric/fabric.hpp"
 #include "zc/fault/engine.hpp"
-#include "zc/sim/event_log.hpp"
 #include "zc/sim/jitter.hpp"
 #include "zc/sim/scheduler.hpp"
 #include "zc/sim/timeline.hpp"
@@ -15,7 +14,7 @@
 namespace zc::apu {
 
 /// One simulated node: scheduler, shared hardware resources, cost model,
-/// jitter, and diagnostics.
+/// jitter, and fault injection.
 ///
 /// `Machine` owns the pieces every layer above shares:
 ///  * the deterministic fiber scheduler hosting the virtual OpenMP threads;
@@ -24,7 +23,7 @@ namespace zc::apu {
 ///    servicing serialize here — the contention the paper attributes the
 ///    Eager Maps multi-thread penalty to);
 ///  * the cost model and the per-run jitter model;
-///  * an event log for tests and debugging.
+///  * the fault-injection engine.
 class Machine {
  public:
   struct Config {
@@ -73,18 +72,6 @@ class Machine {
   }
 
   [[nodiscard]] sim::Scheduler& sched() { return sched_; }
-  /// Unguarded log reference for quiescent phases only: enabling before
-  /// threads start, snapshots/dumps after the scheduler drains. Concurrent
-  /// appends go through `log_add`, which takes the log mutex.
-  [[nodiscard]] sim::EventLog& log() { return log_.unguarded(); }
-
-  /// Append a diagnostic event; safe from any virtual thread (serializes
-  /// on the log mutex — the event log is shared by every layer). Callers
-  /// keep the `log().enabled()` pre-check to skip string building.
-  void log_add(sim::TimePoint t, std::string category, std::string text) {
-    sim::LockGuard lock{log_mutex_, sched_};
-    log_.get(sched_).add(t, std::move(category), std::move(text));
-  }
   /// The deterministic fault-injection engine, built from the environment's
   /// `OMPX_APU_FAULTS` schedule and the machine seed. Consulted from the
   /// HSA layer; fault-free runs carry an empty (disabled) engine.
@@ -152,10 +139,6 @@ class Machine {
 
   Config config_;
   sim::Scheduler sched_;
-  /// Guards event-log appends from concurrent virtual threads (HSA calls,
-  /// the watchdog fiber, degradation paths all log).
-  sim::Mutex log_mutex_{"machine-log"};
-  sim::GuardedBy<sim::EventLog> log_{log_mutex_, "EventLog"};
   fault::FaultEngine faults_;
   sim::JitterModel jitter_;
   sim::JitterModel syscall_jitter_;

@@ -225,8 +225,8 @@ class OffloadRuntime {
 
  private:
   /// An issued async DMA copy plus everything needed to resubmit it: the
-  /// runtime's retry ladder waits for a batch, then re-issues each copy
-  /// whose signal completed with an error payload.
+  /// runtime waits for a batch, then runs the retry ladder on each copy
+  /// that did not complete cleanly.
   struct PendingCopy {
     hsa::Signal signal;
     mem::VirtAddr dst;
@@ -282,10 +282,10 @@ class OffloadRuntime {
   void fallback_map_zero_copy(const MapEntry& entry, int device,
                               trace::FaultEvent reason, bool counts_as_trip);
 
-  /// `svm_attributes_set` with bounded exponential backoff (virtual time)
-  /// against injected EINTR/EBUSY. On exhaustion: falls back to XNACK
-  /// demand faulting when available, else throws
-  /// OffloadError(PrefaultFailed).
+  /// `svm_attributes_set` through the retry ladder: EINTR/EBUSY calls are
+  /// retried with exponential backoff in virtual time, hung calls are
+  /// replayed. When the retries run out it falls back to XNACK demand
+  /// faulting if available, else throws OffloadError(PrefaultFailed).
   void prefault_with_retry(mem::AddrRange range, int device);
 
   /// Issue one async DMA copy and package it for the retry ladder.
@@ -304,19 +304,15 @@ class OffloadRuntime {
   [[nodiscard]] bool engine_managed(const MapEntry& entry) const;
   [[nodiscard]] bool is_global_addr(mem::VirtAddr a) const;
 
-  /// Wait for a batch of copies; each errored copy is resubmitted (up to
-  /// `DegradeParams::copy_max_retries` times) before the offending region
-  /// fails with OffloadError(CopyFailed). A copy the watchdog aborted
-  /// (sdma_stall) is replayed up to `DegradeParams::watchdog_max_replays`
-  /// times before failing with OffloadError(OperationHung). Clears
-  /// `copies`.
+  /// Wait for a batch of copies, then run the retry ladder on each copy
+  /// that errored or that the watchdog aborted. A copy whose error budget
+  /// (`DegradeParams::copy_max_retries`) runs out fails the region with
+  /// OffloadError(CopyFailed). Clears `copies`.
   void wait_all(std::vector<PendingCopy>& copies);
 
-  /// Wait for a dispatched kernel's signal; if the watchdog aborted it,
-  /// replay the dispatch up to `DegradeParams::watchdog_max_replays` times
-  /// (recover mode) before raising OffloadError(OperationHung). In abort
-  /// mode the first abort raises immediately. Shared by `target` and
-  /// `target_wait`.
+  /// Wait for a dispatched kernel's signal; if the watchdog aborted it, run
+  /// the retry ladder, which replays the dispatch. Kernels only hang; they
+  /// never fail. Shared by `target` and `target_wait`.
   void await_kernel(hsa::Signal sig, const hsa::KernelLaunch& launch,
                     int host_thread);
 

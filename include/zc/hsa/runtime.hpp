@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "zc/apu/machine.hpp"
-#include "zc/fault/spec.hpp"
 #include "zc/hsa/kernel.hpp"
 #include "zc/hsa/signal.hpp"
 #include "zc/hsa/watchdog.hpp"
@@ -143,7 +142,7 @@ class Runtime {
   /// Failure surface: returns `Status::OutOfMemory` when the fault engine
   /// injects an OOM or the socket's HBM capacity is exhausted; the failed
   /// driver round trip still costs `pool_alloc_base` and is recorded in
-  /// the call stats, the fault trace, and the event log.
+  /// the call stats and the fault trace.
   [[nodiscard]] PoolAllocResult try_memory_pool_allocate(
       std::uint64_t bytes, std::string name, bool count_in_ledger = true,
       int device = 0);
@@ -281,11 +280,16 @@ class Runtime {
   [[nodiscard]] Watchdog& watchdog() { return watchdog_; }
   [[nodiscard]] const Watchdog& watchdog() const { return watchdog_; }
 
-  /// Record a fault-handling event (takes the trace mutex internally; also
-  /// mirrored to the event log when enabled). Public so the OpenMP layer
-  /// can record its degraded-mode reactions into the same trace the
-  /// injections land in.
+  /// Record a fault-handling event (takes the trace mutex internally).
+  /// Public so the OpenMP layer can record its degraded-mode reactions into
+  /// the same trace the injections land in.
   void record_fault(trace::FaultRecord r);
+  /// The common case: `event` on `device`, stamped with the calling
+  /// thread's `now()`. `range` is the affected host range; events that
+  /// report a count rather than a range carry it in `range.bytes` with a
+  /// null base. `attempt` follows `FaultRecord::attempt`.
+  void record_fault(trace::FaultEvent event, int device,
+                    mem::AddrRange range = {}, int attempt = 0);
 
  private:
   [[nodiscard]] sim::Scheduler& sched() { return machine_.sched(); }
@@ -312,9 +316,8 @@ class Runtime {
 
   /// Build the forever-incomplete signal of a hang-injected operation:
   /// name it, record the injection, and register it with the watchdog.
-  Signal hung_signal(std::string name, trace::FaultEvent event,
-                     fault::Site site, int device, std::uint64_t host_base,
-                     std::uint64_t bytes);
+  Signal hung_signal(std::string name, trace::FaultEvent event, int device,
+                     mem::AddrRange range);
 
   /// One watermark-reclaim pass and its price. Spills cold pages homed on
   /// `device` until `hbm_used <= target_bytes` (at most `max_pages`),

@@ -27,7 +27,7 @@ class Signal {
   Signal() : state_{std::make_shared<State>()} {}
 
   /// Label the signal with the operation it tracks (e.g. "kernel:vmc").
-  /// Used by deadlock diagnostics and watchdog trip reports.
+  /// Used by deadlock diagnostics.
   void set_name(std::string name) { state_->name = std::move(name); }
   [[nodiscard]] const std::string& name() const { return state_->name; }
 

@@ -2,12 +2,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "zc/apu/machine.hpp"
-#include "zc/fault/spec.hpp"
 #include "zc/hsa/signal.hpp"
 #include "zc/sim/scheduler.hpp"
 #include "zc/sim/time.hpp"
@@ -45,10 +43,10 @@ class Watchdog {
 
   [[nodiscard]] const apu::WatchdogConfig& config() const { return config_; }
 
-  /// Begin watching `signal` for the operation described by `site`/`what`.
-  /// No-op when the watchdog is disabled or the signal is already bound to
-  /// a completion time (healthy async work cannot hang in virtual time).
-  void watch(Signal signal, fault::Site site, int device, std::string what);
+  /// Begin watching `signal`, an operation queued on `device`. No-op when
+  /// the watchdog is disabled or the signal is already bound to a
+  /// completion time (healthy async work cannot hang in virtual time).
+  void watch(Signal signal, int device);
 
   /// The core layer's circuit breaker subscribes here; called on every trip
   /// from the watchdog fiber.
@@ -62,9 +60,7 @@ class Watchdog {
  private:
   struct Watched {
     Signal signal;
-    fault::Site site;
     int device = 0;
-    std::string what;
     sim::TimePoint deadline;
   };
 

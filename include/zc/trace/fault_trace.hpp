@@ -158,7 +158,12 @@ struct FaultRecord {
   sim::TimePoint time;
   std::uint64_t host_base = 0;  ///< affected host range (0 when n/a)
   std::uint64_t bytes = 0;
-  int attempt = 0;       ///< retry ordinal (retries/successes)
+  /// Retry-ladder events: the 1-based ordinal of the call this record
+  /// reports on, the operation's first call being 1. A retry or replay
+  /// names the call that failed or hung, a success record the call that
+  /// succeeded, RegionFailed and PrefaultFallbackXnack the last call made.
+  /// 0 on every other event.
+  int attempt = 0;
   double factor = 1.0;   ///< replay-storm latency multiplier
   int tenant = -1;       ///< owning service tenant (-1 outside the service)
 };

@@ -1,7 +1,9 @@
 #include "zc/core/offload_runtime.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "zc/check/ir.hpp"
@@ -353,11 +355,106 @@ OffloadRuntime::PendingCopy OffloadRuntime::submit_copy(
       dst, src, bytes, host, with_handler, count_in_ledger, device};
 }
 
+namespace {
+
+/// How one call of a re-issued operation ended. Hung: the watchdog aborted
+/// it. Failed: an error payload, or EINTR/EBUSY.
+enum class CallOutcome { Ok, Hung, Failed };
+
+/// Classify a waited-on copy or kernel signal.
+CallOutcome outcome_of(const hsa::Signal& s) {
+  if (s.aborted()) {
+    return CallOutcome::Hung;
+  }
+  return s.errored() ? CallOutcome::Failed : CallOutcome::Ok;
+}
+
+/// What the retry ladder needs to know about one operation.
+struct RetryOp {
+  int device = 0;
+  mem::AddrRange range;  ///< host range on records and errors (kernels: none)
+  std::string what;      ///< subject of the error messages
+  trace::FaultEvent retry = trace::FaultEvent::CopyRetry;
+  trace::FaultEvent retried = trace::FaultEvent::CopyRetrySucceeded;
+  int max_retries = 0;    ///< Failed calls that are re-issued
+  sim::Duration backoff;  ///< wait before the first re-issue of a Failed call
+  double backoff_factor = 1.0;  ///< growth of that wait per Failed call
+};
+
+/// Record RegionFailed for call `attempt` of `op`, then throw.
+[[noreturn]] void fail_region(hsa::Runtime& hsa, const RetryOp& op,
+                              int attempt, ErrorCode code,
+                              const std::string& message) {
+  hsa.record_fault(trace::FaultEvent::RegionFailed, op.device, op.range,
+                   attempt);
+  throw OffloadError(code, message, op.device, op.range);
+}
+
+/// The one retry ladder, shared by copies, kernels and prefaults. The
+/// caller made call 1, which ended in `outcome`; `reissue` makes the next
+/// call and classifies it. Each call is classified afresh, and each kind
+/// spends its own budget:
+///  * Hung spends `DegradeParams::watchdog_max_replays` (recover mode). In
+///    abort mode, or once those replays are spent, the region fails with
+///    OffloadError(OperationHung).
+///  * Failed spends `op.max_retries`. Each re-issue records `op.retry` and
+///    first waits out the backoff.
+/// Once a call succeeds it records WatchdogRecovered if any call hung and
+/// `op.retried` if any call failed, then returns 0. If the Failed budget
+/// runs out, it returns the ordinal of the last call; the caller raises or
+/// degrades.
+int retry_until_ok(hsa::Runtime& hsa, const RetryOp& op, CallOutcome outcome,
+                   const std::function<CallOutcome()>& reissue) {
+  apu::Machine& m = hsa.machine();
+  const bool recover = hsa.watchdog().config().recover;
+  const int max_replays = m.degrade_params().watchdog_max_replays;
+  sim::Duration backoff = op.backoff;
+  int hung = 0;
+  int failed = 0;
+  int call = 1;  // ordinal of the call `outcome` classifies
+  for (; outcome != CallOutcome::Ok; ++call) {
+    if (outcome == CallOutcome::Hung) {
+      // The watchdog tore the queue down. A hung call delivers nothing
+      // (all-or-nothing), so a replay performs its effects exactly once.
+      if (!recover || ++hung > max_replays) {
+        fail_region(hsa, op, call, ErrorCode::OperationHung,
+                    op.what + " hung; the watchdog aborted it" +
+                        (recover ? " and replays were exhausted"
+                                 : " (abort mode)"));
+      }
+      hsa.record_fault(trace::FaultEvent::WatchdogReplay, op.device,
+                       op.range, call);
+    } else {
+      if (++failed > op.max_retries) {
+        return call;
+      }
+      hsa.record_fault(op.retry, op.device, op.range, call);
+      if (!backoff.is_zero()) {
+        // The sleep yields the CPU: any state read before it must be
+        // re-validated after.
+        m.sched().advance(backoff);
+        backoff = backoff * op.backoff_factor;
+      }
+    }
+    outcome = reissue();
+  }
+  if (hung > 0) {
+    hsa.record_fault(trace::FaultEvent::WatchdogRecovered, op.device,
+                     op.range, call);
+  }
+  if (failed > 0) {
+    hsa.record_fault(op.retried, op.device, op.range, call);
+  }
+  return 0;
+}
+
+}  // namespace
+
 void OffloadRuntime::wait_all(std::vector<PendingCopy>& copies) {
-  if (copies.empty()) {
+  const std::vector<PendingCopy> batch = std::exchange(copies, {});
+  if (batch.empty()) {
     return;
   }
-  apu::Machine& m = hsa_.machine();
   // The runtime batches: one wait on the transfer that completes last
   // (engine FIFO ordering makes every earlier submission complete earlier
   // or on another engine no later than observed here). A stalled copy's
@@ -369,231 +466,88 @@ void OffloadRuntime::wait_all(std::vector<PendingCopy>& copies) {
                                   : sim::TimePoint::max();
   };
   auto latest =
-      std::max_element(copies.begin(), copies.end(),
+      std::max_element(batch.begin(), batch.end(),
                        [&](const PendingCopy& a, const PendingCopy& b) {
                          return completes_at(a) < completes_at(b);
                        });
   hsa_.signal_wait_scacquire(latest->signal);
-  for (PendingCopy& pc : copies) {
+  for (const PendingCopy& pc : batch) {
     if (!pc.signal.is_complete()) {
       // More than one stall in the batch: each tripped at its own deadline.
       hsa_.signal_wait_scacquire(pc.signal);
     }
   }
-  // Watchdog-abort ladder: a copy whose queue was torn down delivered no
-  // bytes; replay it (recover mode) up to the replay budget. A replay can
-  // itself stall (repeat injection) — its wait then blocks until the next
-  // trip — or complete with an error payload, which the error ladder
-  // below handles.
-  const apu::WatchdogConfig& wd = hsa_.watchdog().config();
-  for (PendingCopy& pc : copies) {
-    if (!pc.signal.aborted()) {
+  // An errored or aborted copy delivered no bytes: resubmit it until a
+  // submission completes cleanly, or fail only the offending region — with
+  // a structured error, not an abort — and the runtime stays usable.
+  for (const PendingCopy& pc : batch) {
+    const CallOutcome outcome = outcome_of(pc.signal);
+    if (outcome == CallOutcome::Ok) {
       continue;
     }
-    const int max_replays = m.degrade_params().watchdog_max_replays;
-    bool recovered = false;
-    for (int attempt = 1; wd.recover && attempt <= max_replays; ++attempt) {
-      hsa_.record_fault(
-          trace::FaultRecord{.event = trace::FaultEvent::WatchdogReplay,
-                             .device = pc.device,
-                             .time = m.sched().now(),
-                             .host_base = pc.host.base.value,
-                             .bytes = pc.bytes,
-                             .attempt = attempt});
-      hsa::Signal retry =
+    const RetryOp op{
+        .device = pc.device,
+        .range = pc.host,
+        .what = "async copy of " + std::to_string(pc.host.bytes) + "B at " +
+                pc.host.base.to_string(),
+        .retry = trace::FaultEvent::CopyRetry,
+        .retried = trace::FaultEvent::CopyRetrySucceeded,
+        .max_retries = hsa_.machine().degrade_params().copy_max_retries};
+    const int last = retry_until_ok(hsa_, op, outcome, [&] {
+      const hsa::Signal retry =
           hsa_.memory_async_copy(pc.dst, pc.src, pc.bytes, pc.with_handler,
                                  pc.count_in_ledger, pc.device);
       hsa_.signal_wait_scacquire(retry);
-      if (retry.aborted()) {
-        continue;
-      }
-      pc.signal = retry;
-      hsa_.record_fault(
-          trace::FaultRecord{.event = trace::FaultEvent::WatchdogRecovered,
-                             .device = pc.device,
-                             .time = m.sched().now(),
-                             .host_base = pc.host.base.value,
-                             .bytes = pc.bytes,
-                             .attempt = attempt});
-      recovered = true;
-      break;
-    }
-    if (!recovered) {
-      hsa_.record_fault(
-          trace::FaultRecord{.event = trace::FaultEvent::RegionFailed,
-                             .device = pc.device,
-                             .time = m.sched().now(),
-                             .host_base = pc.host.base.value,
-                             .bytes = pc.bytes});
-      const mem::AddrRange host = pc.host;
-      const int device = pc.device;
-      copies.clear();
-      throw OffloadError(ErrorCode::OperationHung,
-                         "async copy of " + std::to_string(host.bytes) +
-                             "B at " + host.base.to_string() +
-                             " hung; the watchdog aborted it" +
-                             (wd.recover ? " and replays were exhausted"
-                                         : " (abort mode)"),
-                         device, host);
+      return outcome_of(retry);
+    });
+    if (last > 0) {
+      fail_region(hsa_, op, last, ErrorCode::CopyFailed,
+                  op.what + " failed after retry");
     }
   }
-  // Retry ladder: each copy whose signal carries an error payload is
-  // resubmitted a bounded number of times; if the last resubmission also
-  // fails, only the offending region fails — with a structured error, not
-  // an abort — and the runtime stays usable.
-  for (PendingCopy& pc : copies) {
-    if (!pc.signal.errored()) {
-      continue;
-    }
-    const int max_retries = m.degrade_params().copy_max_retries;
-    bool recovered = false;
-    for (int attempt = 1; attempt <= max_retries; ++attempt) {
-      hsa_.record_fault(
-          trace::FaultRecord{.event = trace::FaultEvent::CopyRetry,
-                             .device = pc.device,
-                             .time = m.sched().now(),
-                             .host_base = pc.host.base.value,
-                             .bytes = pc.bytes,
-                             .attempt = attempt});
-      hsa::Signal retry =
-          hsa_.memory_async_copy(pc.dst, pc.src, pc.bytes, pc.with_handler,
-                                 pc.count_in_ledger, pc.device);
-      hsa_.signal_wait_scacquire(retry);
-      if (!retry.errored()) {
-        hsa_.record_fault(
-            trace::FaultRecord{.event = trace::FaultEvent::CopyRetrySucceeded,
-                               .device = pc.device,
-                               .time = m.sched().now(),
-                               .host_base = pc.host.base.value,
-                               .bytes = pc.bytes,
-                               .attempt = attempt});
-        recovered = true;
-        break;
-      }
-    }
-    if (!recovered) {
-      hsa_.record_fault(
-          trace::FaultRecord{.event = trace::FaultEvent::RegionFailed,
-                             .device = pc.device,
-                             .time = m.sched().now(),
-                             .host_base = pc.host.base.value,
-                             .bytes = pc.bytes});
-      const mem::AddrRange host = pc.host;
-      const int device = pc.device;
-      copies.clear();
-      throw OffloadError(ErrorCode::CopyFailed,
-                         "async copy of " + std::to_string(host.bytes) +
-                             "B at " + host.base.to_string() +
-                             " failed after retry",
-                         device, host);
-    }
-  }
-  copies.clear();
 }
 
 void OffloadRuntime::prefault_with_retry(mem::AddrRange range, int device) {
+  auto prefault = [&] {
+    switch (hsa_.try_svm_attributes_set_prefault(range, device).status) {
+      case hsa::Status::Ok:
+        return CallOutcome::Ok;
+      case hsa::Status::TimedOut:
+        return CallOutcome::Hung;
+      default:
+        return CallOutcome::Failed;
+    }
+  };
+  const CallOutcome outcome = prefault();
+  if (outcome == CallOutcome::Ok) {
+    return;
+  }
   apu::Machine& m = hsa_.machine();
   const apu::DegradeParams& dp = m.degrade_params();
-  sim::Duration backoff = dp.prefault_backoff_base;
-  int attempt = 0;  // transient (EINTR/EBUSY) failures observed so far
-  int hangs = 0;    // watchdog-aborted attempts observed so far
-  while (true) {
-    const hsa::PrefaultResult r =
-        hsa_.try_svm_attributes_set_prefault(range, device);
-    if (r.ok()) {
-      if (hangs > 0) {
-        hsa_.record_fault(
-            trace::FaultRecord{.event = trace::FaultEvent::WatchdogRecovered,
-                               .device = device,
-                               .time = m.sched().now(),
-                               .host_base = range.base.value,
-                               .bytes = range.bytes,
-                               .attempt = hangs});
-      }
-      if (attempt > 0) {
-        hsa_.record_fault(trace::FaultRecord{
-            .event = trace::FaultEvent::PrefaultRetrySucceeded,
-            .device = device,
-            .time = m.sched().now(),
-            .host_base = range.base.value,
-            .bytes = range.bytes,
-            .attempt = attempt + 1});
-      }
-      return;
-    }
-    if (r.status == hsa::Status::TimedOut) {
-      // The syscall hung and the watchdog aborted it (the queue rebuild is
-      // already paid). Replay immediately — the injection's call counter
-      // has advanced, so a one-shot hang does not refire.
-      const apu::WatchdogConfig& wd = hsa_.watchdog().config();
-      ++hangs;
-      if (!wd.recover || hangs > dp.watchdog_max_replays) {
-        hsa_.record_fault(
-            trace::FaultRecord{.event = trace::FaultEvent::RegionFailed,
-                               .device = device,
-                               .time = m.sched().now(),
-                               .host_base = range.base.value,
-                               .bytes = range.bytes,
-                               .attempt = hangs});
-        throw OffloadError(ErrorCode::OperationHung,
-                           "svm_attributes_set prefault of " +
-                               std::to_string(range.bytes) + "B at " +
-                               range.base.to_string() +
-                               " hung; the watchdog aborted it" +
-                               (wd.recover ? " and replays were exhausted"
-                                           : " (abort mode)"),
-                           device, range);
-      }
-      hsa_.record_fault(
-          trace::FaultRecord{.event = trace::FaultEvent::WatchdogReplay,
-                             .device = device,
-                             .time = m.sched().now(),
-                             .host_base = range.base.value,
-                             .bytes = range.bytes,
-                             .attempt = hangs});
-      continue;
-    }
-    ++attempt;
-    if (attempt > dp.prefault_max_retries) {
-      if (m.env().hsa_xnack) {
-        // Prefault was an optimization: XNACK demand faulting still makes
-        // the range translatable, just one page at a time.
-        hsa_.record_fault(
-            trace::FaultRecord{.event = trace::FaultEvent::PrefaultFallbackXnack,
-                               .device = device,
-                               .time = m.sched().now(),
-                               .host_base = range.base.value,
-                               .bytes = range.bytes,
-                               .attempt = attempt});
-        return;
-      }
-      hsa_.record_fault(
-          trace::FaultRecord{.event = trace::FaultEvent::RegionFailed,
-                             .device = device,
-                             .time = m.sched().now(),
-                             .host_base = range.base.value,
-                             .bytes = range.bytes,
-                             .attempt = attempt});
-      throw OffloadError(ErrorCode::PrefaultFailed,
-                         "svm_attributes_set prefault of " +
-                             std::to_string(range.bytes) + "B at " +
-                             range.base.to_string() + " failed after " +
-                             std::to_string(attempt) +
-                             " attempts with XNACK disabled",
-                         device, range);
-    }
-    // Transient EINTR/EBUSY: back off exponentially in virtual time and
-    // retry. The sleep yields the CPU — any state read before it must be
-    // re-validated after.
-    hsa_.record_fault(trace::FaultRecord{.event = trace::FaultEvent::PrefaultRetry,
-                                         .device = device,
-                                         .time = m.sched().now(),
-                                         .host_base = range.base.value,
-                                         .bytes = range.bytes,
-                                         .attempt = attempt});
-    m.sched().advance(backoff);
-    backoff = backoff * dp.prefault_backoff_factor;
+  const RetryOp op{.device = device,
+                   .range = range,
+                   .what = "svm_attributes_set prefault of " +
+                           std::to_string(range.bytes) + "B at " +
+                           range.base.to_string(),
+                   .retry = trace::FaultEvent::PrefaultRetry,
+                   .retried = trace::FaultEvent::PrefaultRetrySucceeded,
+                   .max_retries = dp.prefault_max_retries,
+                   .backoff = dp.prefault_backoff_base,
+                   .backoff_factor = dp.prefault_backoff_factor};
+  const int last = retry_until_ok(hsa_, op, outcome, prefault);
+  if (last == 0) {
+    return;
   }
+  if (m.env().hsa_xnack) {
+    // Prefault was an optimization: XNACK demand faulting still makes the
+    // range translatable, just one page at a time.
+    hsa_.record_fault(trace::FaultEvent::PrefaultFallbackXnack, device, range,
+                      last);
+    return;
+  }
+  fail_region(hsa_, op, last, ErrorCode::PrefaultFailed,
+              op.what + " failed after " + std::to_string(last) +
+                  " attempts with XNACK disabled");
 }
 
 void OffloadRuntime::record_breaker_transitions(
@@ -667,11 +621,7 @@ void OffloadRuntime::fallback_map_zero_copy(const MapEntry& entry, int device,
                                             trace::FaultEvent reason,
                                             bool counts_as_trip) {
   apu::Machine& m = hsa_.machine();
-  hsa_.record_fault(trace::FaultRecord{.event = reason,
-                                       .device = device,
-                                       .time = m.sched().now(),
-                                       .host_base = entry.host_ptr.value,
-                                       .bytes = entry.bytes});
+  hsa_.record_fault(reason, device, entry.host_range());
   if (counts_as_trip) {
     // Degraded-mode events feed the breaker alongside watchdog trips; the
     // breaker's own pinned maps must not, or it would never close.
@@ -729,12 +679,8 @@ void OffloadRuntime::begin_one(const MapEntry& entry, int device,
     if (config_ == RuntimeConfig::EagerMaps) {
       prefault_with_retry(entry.host_range(), device);
     } else if (breaker_pinned(device)) {
-      hsa_.record_fault(
-          trace::FaultRecord{.event = trace::FaultEvent::BreakerPinnedMap,
-                             .device = device,
-                             .time = m.sched().now(),
-                             .host_base = entry.host_ptr.value,
-                             .bytes = entry.bytes});
+      hsa_.record_fault(trace::FaultEvent::BreakerPinnedMap, device,
+                        entry.host_range());
       prefault_with_retry(entry.host_range(), device);
     }
     return;
@@ -1223,41 +1169,15 @@ void OffloadRuntime::await_kernel(hsa::Signal sig,
   if (!sig.aborted()) {
     return;
   }
-  // The kernel hung and the watchdog tore down its queue. The hung attempt
-  // executed nothing (all-or-nothing), so a replay reproduces the
-  // fault-free run's functional effects exactly once.
-  apu::Machine& m = hsa_.machine();
-  const apu::WatchdogConfig& wd = hsa_.watchdog().config();
-  const int max_replays = m.degrade_params().watchdog_max_replays;
-  for (int attempt = 1; sig.aborted(); ++attempt) {
-    if (!wd.recover || attempt > max_replays) {
-      hsa_.record_fault(
-          trace::FaultRecord{.event = trace::FaultEvent::RegionFailed,
-                             .device = launch.device,
-                             .time = m.sched().now(),
-                             .attempt = attempt - 1});
-      throw OffloadError(ErrorCode::OperationHung,
-                         "kernel '" + launch.name +
-                             "' hung; the watchdog aborted it" +
-                             (wd.recover ? " and replays were exhausted"
-                                         : " (abort mode)"),
-                         launch.device);
-    }
-    hsa_.record_fault(
-        trace::FaultRecord{.event = trace::FaultEvent::WatchdogReplay,
-                           .device = launch.device,
-                           .time = m.sched().now(),
-                           .attempt = attempt});
-    sig = hsa_.dispatch_kernel(launch, host_thread);
-    hsa_.signal_wait_scacquire(sig);
-    if (!sig.aborted()) {
-      hsa_.record_fault(
-          trace::FaultRecord{.event = trace::FaultEvent::WatchdogRecovered,
-                             .device = launch.device,
-                             .time = m.sched().now(),
-                             .attempt = attempt});
-    }
-  }
+  retry_until_ok(hsa_,
+                 RetryOp{.device = launch.device,
+                         .what = "kernel '" + launch.name + "'"},
+                 CallOutcome::Hung, [&] {
+                   const hsa::Signal replay =
+                       hsa_.dispatch_kernel(launch, host_thread);
+                   hsa_.signal_wait_scacquire(replay);
+                   return outcome_of(replay);
+                 });
 }
 
 int OffloadRuntime::resolve_device(const TargetRegion& region) const {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "zc/fault/engine.hpp"
+
 namespace zc::hsa {
 
 using sim::Duration;
@@ -52,16 +54,11 @@ int Runtime::current_tenant_locked() {
 }
 
 Signal Runtime::hung_signal(std::string name, trace::FaultEvent event,
-                            fault::Site site, int device,
-                            std::uint64_t host_base, std::uint64_t bytes) {
+                            int device, mem::AddrRange range) {
   Signal sig;
-  sig.set_name(name);
-  record_fault(trace::FaultRecord{.event = event,
-                                  .device = device,
-                                  .time = sched().now(),
-                                  .host_base = host_base,
-                                  .bytes = bytes});
-  watchdog_.watch(sig, site, device, std::move(name));
+  sig.set_name(std::move(name));
+  record_fault(event, device, range);
+  watchdog_.watch(sig, device);
   return sig;
 }
 
@@ -107,16 +104,18 @@ void Runtime::flush_pending_calls() {
 }
 
 void Runtime::record_fault(trace::FaultRecord r) {
-  {
-    sim::LockGuard lock{trace_mutex_, sched()};
-    ftrace_.get(sched()).record(r);
-  }
-  if (machine_.log().enabled()) {
-    machine_.log_add(r.time, "fault",
-                     std::string{trace::to_string(r.event)} + " dev" +
-                         std::to_string(r.device) + " " +
-                         std::to_string(r.bytes) + "B");
-  }
+  sim::LockGuard lock{trace_mutex_, sched()};
+  ftrace_.get(sched()).record(r);
+}
+
+void Runtime::record_fault(trace::FaultEvent event, int device,
+                           mem::AddrRange range, int attempt) {
+  record_fault(trace::FaultRecord{.event = event,
+                                  .device = device,
+                                  .time = sched().now(),
+                                  .host_base = range.base.value,
+                                  .bytes = range.bytes,
+                                  .attempt = attempt});
 }
 
 Signal Runtime::signal_create() {
@@ -169,24 +168,13 @@ Runtime::ReclaimCharge Runtime::reclaim_to(int device,
       machine_.jittered(machine_.copy_duration(bytes)) +
       c.thp_split_per_span * static_cast<double>(ro.split);
   out.evicted = ro.evicted;
-  record_fault(trace::FaultRecord{.event = trace::FaultEvent::PagesEvicted,
-                                  .device = device,
-                                  .time = sched().now(),
-                                  .host_base = 0,
-                                  .bytes = bytes});
-  {
-    sim::LockGuard lock{trace_mutex_, sched()};
-    devstats_.get(sched()).at(static_cast<std::size_t>(device)).evicted_pages +=
-        ro.evicted;
+  record_fault(trace::FaultEvent::PagesEvicted, device, {{}, bytes});
+  if (ro.split > 0) {
+    record_fault(trace::FaultEvent::ThpSplit, device, {{}, ro.split});
   }
-  if (machine_.log().enabled()) {
-    machine_.log_add(sched().now(), "mem",
-                     "reclaim dev" + std::to_string(device) + " spilled " +
-                         std::to_string(ro.evicted) + " page(s) to DDR" +
-                         (ro.split > 0
-                              ? " (" + std::to_string(ro.split) + " THP split)"
-                              : ""));
-  }
+  sim::LockGuard lock{trace_mutex_, sched()};
+  devstats_.get(sched()).at(static_cast<std::size_t>(device)).evicted_pages +=
+      ro.evicted;
   return out;
 }
 
@@ -239,17 +227,7 @@ PoolAllocResult Runtime::try_memory_pool_allocate(std::uint64_t bytes,
       sim::LockGuard lock{trace_mutex_, sched()};
       ledger_.get(sched()).add_alloc(dur);
     }
-    record_fault(trace::FaultRecord{.event = failure,
-                                    .device = device,
-                                    .time = sched().now(),
-                                    .host_base = 0,
-                                    .bytes = bytes});
-    if (machine_.log().enabled()) {
-      machine_.log_add(sched().now(), "hsa",
-                       "pool_allocate " + std::to_string(bytes) +
-                           "B FAILED (" +
-                           trace::to_string(failure) + std::string{")"});
-    }
+    record_fault(failure, device, {{}, bytes});
     return PoolAllocResult{Status::OutOfMemory, {}};
   }
 
@@ -275,19 +253,7 @@ PoolAllocResult Runtime::try_memory_pool_allocate(std::uint64_t bytes,
     ledger_.get(sched()).add_alloc(dur);
   }
   if (reclaimed > 0) {
-    record_fault(trace::FaultRecord{.event = trace::FaultEvent::PoolReclaimed,
-                                    .device = device,
-                                    .time = sched().now(),
-                                    .host_base = 0,
-                                    .bytes = bytes});
-  }
-  if (machine_.log().enabled()) {
-    machine_.log_add(sched().now(), "hsa",
-                     "pool_allocate " + std::to_string(bytes) + "B" +
-                         (reclaimed > 0 ? " after reclaiming " +
-                                              std::to_string(reclaimed) +
-                                              " page(s)"
-                                        : ""));
+    record_fault(trace::FaultEvent::PoolReclaimed, device, {{}, bytes});
   }
   return PoolAllocResult{Status::Ok, a->base(), reclaimed};
 }
@@ -414,15 +380,11 @@ Signal Runtime::memory_async_copy(mem::VirtAddr dst, mem::VirtAddr src,
     // completion signal never fires. The watchdog (when configured) aborts
     // the operation after its budget; the caller then resubmits.
     sig = hung_signal("sdma-copy@" + dst.to_string(),
-                      trace::FaultEvent::SdmaStallInjected,
-                      fault::Site::AsyncCopy, device, dst.value, bytes);
+                      trace::FaultEvent::SdmaStallInjected, device,
+                      {dst, bytes});
   } else if (sdma_error) {
     sig.complete_error(sched(), done);
-    record_fault(trace::FaultRecord{.event = trace::FaultEvent::SdmaErrorInjected,
-                                    .device = device,
-                                    .time = sched().now(),
-                                    .host_base = dst.value,
-                                    .bytes = bytes});
+    record_fault(trace::FaultEvent::SdmaErrorInjected, device, {dst, bytes});
   } else {
     sig.set_name("sdma-copy@" + dst.to_string());
     sig.complete(sched(), done);
@@ -495,9 +457,8 @@ PrefaultResult Runtime::try_svm_attributes_set_prefault(mem::AddrRange range,
       ledger_.get(sched()).add_prefault(dur);
     }
     Signal stuck = hung_signal("svm-prefault@" + range.base.to_string(),
-                               trace::FaultEvent::PrefaultHangInjected,
-                               fault::Site::SvmPrefault, device,
-                               range.base.value, range.bytes);
+                               trace::FaultEvent::PrefaultHangInjected, device,
+                               range);
     stuck.wait(sched());
     return PrefaultResult{Status::TimedOut, {}};
   }
@@ -511,13 +472,9 @@ PrefaultResult Runtime::try_svm_attributes_set_prefault(mem::AddrRange range,
     sched().advance_to(iv.end);
     record_call(trace::HsaCall::SvmAttributesSet, start, dur);
     const bool eintr = inj.kind == fault::Kind::Eintr;
-    record_fault(trace::FaultRecord{
-        .event = eintr ? trace::FaultEvent::EintrInjected
+    record_fault(eintr ? trace::FaultEvent::EintrInjected
                        : trace::FaultEvent::EbusyInjected,
-        .device = device,
-        .time = sched().now(),
-        .host_base = range.base.value,
-        .bytes = range.bytes});
+                 device, range);
     {
       sim::LockGuard lock{trace_mutex_, sched()};
       ledger_.get(sched()).add_prefault(dur);
@@ -543,18 +500,12 @@ PrefaultResult Runtime::try_svm_attributes_set_prefault(mem::AddrRange range,
   sched().advance_to(iv.end);
   record_call(trace::HsaCall::SvmAttributesSet, start, dur);
   if (out.promoted > 0) {
-    record_fault(trace::FaultRecord{.event = trace::FaultEvent::PagesPromoted,
-                                    .device = device,
-                                    .time = sched().now(),
-                                    .host_base = range.base.value,
-                                    .bytes = out.promoted * mem_.page_bytes()});
+    record_fault(trace::FaultEvent::PagesPromoted, device,
+                 {range.base, out.promoted * mem_.page_bytes()});
   }
   if (out.collapsed > 0) {
-    record_fault(trace::FaultRecord{.event = trace::FaultEvent::ThpCollapsed,
-                                    .device = device,
-                                    .time = sched().now(),
-                                    .host_base = range.base.value,
-                                    .bytes = out.collapsed});
+    record_fault(trace::FaultEvent::ThpCollapsed, device,
+                 {range.base, out.collapsed});
   }
   sim::LockGuard lock{trace_mutex_, sched()};
   ledger_.get(sched()).add_prefault(dur);
@@ -623,11 +574,6 @@ std::uint64_t Runtime::migrate_pages(mem::AddrRange range, int device) {
     devstats_.get(sched()).at(static_cast<std::size_t>(device)).migrated_pages +=
         moved;
   }
-  if (machine_.log().enabled()) {
-    machine_.log_add(sched().now(), "hsa",
-                     "migrate " + std::to_string(moved) + " page(s) " +
-                         std::to_string(from) + "->" + std::to_string(device));
-  }
   return moved;
 }
 
@@ -654,8 +600,8 @@ Signal Runtime::dispatch_kernel(const KernelLaunch& launch, int host_thread,
       machine_.faults().consult(fault::Site::KernelLaunch, sched().now());
   if (kinj.kind == fault::Kind::KernelHang) {
     return hung_signal("kernel:" + launch.name,
-                       trace::FaultEvent::KernelHangInjected,
-                       fault::Site::KernelLaunch, launch.device, 0, 0);
+                       trace::FaultEvent::KernelHangInjected, launch.device,
+                       {});
   }
 
   // -- memory-pressure machinery, serviced on the dispatch path ------------
@@ -675,12 +621,7 @@ Signal Runtime::dispatch_kernel(const KernelLaunch& launch, int host_thread,
         machine_.faults().consult(fault::Site::AccessCounter, sched().now());
     if (cinj.kind == fault::Kind::CounterLoss) {
       mem_.counter_loss();
-      record_fault(
-          trace::FaultRecord{.event = trace::FaultEvent::CounterLossInjected,
-                             .device = launch.device,
-                             .time = sched().now(),
-                             .host_base = 0,
-                             .bytes = 0});
+      record_fault(trace::FaultEvent::CounterLossInjected, launch.device);
     }
   }
   if (machine_.env().ompx_apu_automigrate.enabled && machine_.is_apu()) {
@@ -711,12 +652,8 @@ Signal Runtime::dispatch_kernel(const KernelLaunch& launch, int host_thread,
               .factor = minj.factor});
         }
         pressure_time = pressure_time + mdur;
-        record_fault(
-            trace::FaultRecord{.event = trace::FaultEvent::AutoMigrated,
-                               .device = cand.to_socket,
-                               .time = sched().now(),
-                               .host_base = cand.page * pb,
-                               .bytes = moved * pb});
+        record_fault(trace::FaultEvent::AutoMigrated, cand.to_socket,
+                     {mem::VirtAddr{cand.page * pb}, moved * pb});
         sim::LockGuard lock{trace_mutex_, sched()};
         devstats_.get(sched())
             .at(static_cast<std::size_t>(cand.to_socket))
@@ -807,7 +744,7 @@ Signal Runtime::dispatch_kernel(const KernelLaunch& launch, int host_thread,
     if (inj.kind == fault::Kind::XnackLivelock) {
       return hung_signal("kernel:" + launch.name,
                          trace::FaultEvent::XnackLivelockInjected,
-                         fault::Site::XnackReplay, launch.device, 0, faults);
+                         launch.device, {{}, faults});
     }
     if (inj.kind == fault::Kind::ReplayStorm) {
       fault_time = fault_time * inj.factor;
@@ -832,18 +769,11 @@ Signal Runtime::dispatch_kernel(const KernelLaunch& launch, int host_thread,
     for (const BufferAccess& b : launch.buffers) {
       storm_split += mem_.thp_split_range(b.range());
     }
-    record_fault(
-        trace::FaultRecord{.event = trace::FaultEvent::ThpSplitStormInjected,
-                           .device = launch.device,
-                           .time = sched().now(),
-                           .host_base = 0,
-                           .bytes = storm_split});
+    record_fault(trace::FaultEvent::ThpSplitStormInjected, launch.device,
+                 {{}, storm_split});
     if (storm_split > 0) {
-      record_fault(trace::FaultRecord{.event = trace::FaultEvent::ThpSplit,
-                                      .device = launch.device,
-                                      .time = sched().now(),
-                                      .host_base = 0,
-                                      .bytes = storm_split});
+      record_fault(trace::FaultEvent::ThpSplit, launch.device,
+                   {{}, storm_split});
       pressure_time =
           pressure_time +
           c.thp_split_per_span * static_cast<double>(storm_split);
@@ -857,11 +787,8 @@ Signal Runtime::dispatch_kernel(const KernelLaunch& launch, int host_thread,
     pressure_time =
         pressure_time +
         machine_.jittered(c.promote_per_page * static_cast<double>(promoted));
-    record_fault(trace::FaultRecord{.event = trace::FaultEvent::PagesPromoted,
-                                    .device = launch.device,
-                                    .time = sched().now(),
-                                    .host_base = 0,
-                                    .bytes = promoted * page});
+    record_fault(trace::FaultEvent::PagesPromoted, launch.device,
+                 {{}, promoted * page});
   }
   if (split_faulted > 0) {
     pressure_time =

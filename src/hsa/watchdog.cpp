@@ -16,8 +16,7 @@ using sim::TimePoint;
 // monitor keyed on the Watchdog itself. Each bracketed section is pure
 // state — no yields, no virtual-time advance — so the model stays sound.
 
-void Watchdog::watch(Signal signal, fault::Site site, int device,
-                     std::string what) {
+void Watchdog::watch(Signal signal, int device) {
   if (!config_.enabled() || signal.is_complete()) {
     // Healthy async work is bound to a completion time at submit; only a
     // hung operation's signal is still unbound here.
@@ -28,8 +27,8 @@ void Watchdog::watch(Signal signal, fault::Site site, int device,
   {
     race::MonitorGuard mm{sched, this};
     race::on_write(sched, &watched_, sizeof(watched_), "Watchdog::watched_");
-    watched_.push_back(Watched{std::move(signal), site, device,
-                               std::move(what), sched.now() + config_.budget});
+    watched_.push_back(
+        Watched{std::move(signal), device, sched.now() + config_.budget});
     race::on_write(sched, &running_, sizeof(running_), "Watchdog::running_");
     start = !running_;
     running_ = true;
@@ -118,12 +117,6 @@ void Watchdog::trip(const Watched& w) {
                                .time = sched.now(),
                                .host_base = 0,
                                .bytes = 0});
-  }
-  if (machine_.log().enabled()) {
-    machine_.log_add(sched.now(), "watchdog",
-                     "trip: " + w.what + " at site " +
-                         std::string{fault::to_string(w.site)} + " dev" +
-                         std::to_string(w.device));
   }
   if (listener_) {
     listener_(w.device, sched.now());

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "zc/core/host_array.hpp"
@@ -136,6 +137,136 @@ TEST(WatchdogRecovery, StalledCopyIsResubmitted) {
   EXPECT_EQ(faults.count(FaultEvent::WatchdogReplay), 1u);
   EXPECT_EQ(faults.count(FaultEvent::WatchdogRecovered), 1u);
   EXPECT_FALSE(faults.any(FaultEvent::RegionFailed));
+}
+
+/// The event names of `faults` in record order.
+std::vector<std::string> events_of(const trace::FaultTrace& faults) {
+  std::vector<std::string> out;
+  for (const trace::FaultRecord& r : faults.records()) {
+    out.emplace_back(trace::to_string(r.event));
+  }
+  return out;
+}
+
+TEST(WatchdogRecovery, StalledCopyResubmissionIsReplayedNotTakenAsSuccess) {
+  // The region's h2d copy (call 4) errors and its resubmission (call 5)
+  // stalls. The stalled resubmission delivered no bytes, so it must be
+  // replayed in turn; taking it for a success leaves the device copy
+  // unwritten and the region computes 1 + 0 instead of 1 + i.
+  auto stack = make_stack(RuntimeConfig::LegacyCopy,
+                          "sdma@call=4;sdma_stall@call=5", "150us:recover");
+  expect_incremented(run_increment(*stack, 1024), 1);
+  EXPECT_EQ(events_of(stack->hsa().fault_trace()),
+            (std::vector<std::string>{
+                "sdma-error-injected", "copy-retry", "sdma-stall-injected",
+                "watchdog-trip", "watchdog-replay", "watchdog-recovered",
+                "copy-retry-succeeded"}));
+}
+
+TEST(WatchdogRecovery, StalledCopyResubmissionRaisesOperationHungInAbortMode) {
+  auto stack = make_stack(RuntimeConfig::LegacyCopy,
+                          "sdma@call=4;sdma_stall@call=5", "150us:abort");
+  try {
+    (void)run_increment(*stack, 1024);
+    FAIL() << "expected OffloadError(OperationHung)";
+  } catch (const OffloadError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::OperationHung);
+    EXPECT_NE(std::string{e.what()}.find("(abort mode)"), std::string::npos)
+        << e.what();
+  }
+  const trace::FaultTrace& faults = stack->hsa().fault_trace();
+  EXPECT_EQ(faults.count(FaultEvent::RegionFailed), 1u);
+  EXPECT_FALSE(faults.any(FaultEvent::CopyRetrySucceeded));
+  EXPECT_FALSE(faults.any(FaultEvent::WatchdogReplay));
+}
+
+TEST(WatchdogRecovery, ErroredCopyReplayIsRetriedBeforeRecoveryIsRecorded) {
+  // The reverse order: the h2d copy stalls, and its replay errors. The
+  // episode is recovered only by the retry that follows the error.
+  auto stack = make_stack(RuntimeConfig::LegacyCopy,
+                          "sdma_stall@call=4;sdma@call=5", "150us:recover");
+  expect_incremented(run_increment(*stack, 1024), 1);
+  EXPECT_EQ(events_of(stack->hsa().fault_trace()),
+            (std::vector<std::string>{
+                "sdma-stall-injected", "watchdog-trip", "watchdog-replay",
+                "sdma-error-injected", "copy-retry", "watchdog-recovered",
+                "copy-retry-succeeded"}));
+}
+
+TEST(WatchdogRecovery, AttemptIsTheOrdinalOfTheCallARecordReportsOn) {
+  // Calls are numbered from 1, the operation's first call. Retries and
+  // replays name the call that failed or hung; success records name the
+  // call that succeeded; RegionFailed and PrefaultFallbackXnack the last
+  // call made. Injection events carry no ordinal.
+  struct Case {
+    RuntimeConfig config;
+    std::string faults;
+    std::string watchdog;
+    std::vector<std::pair<std::string, int>> ladder;
+  };
+  const std::vector<Case> cases{
+      {RuntimeConfig::LegacyCopy, "sdma@call=4", "",
+       {{"copy-retry", 1}, {"copy-retry-succeeded", 2}}},
+      {RuntimeConfig::LegacyCopy, "sdma@call=4..5", "",
+       {{"copy-retry", 1}, {"region-failed", 2}}},
+      {RuntimeConfig::LegacyCopy, "sdma_stall@call=4..6", "150us:recover",
+       {{"watchdog-replay", 1},
+        {"watchdog-replay", 2},
+        {"region-failed", 3}}},
+      {RuntimeConfig::LegacyCopy, "sdma@call=4;sdma_stall@call=5",
+       "150us:recover",
+       {{"copy-retry", 1},
+        {"watchdog-replay", 2},
+        {"watchdog-recovered", 3},
+        {"copy-retry-succeeded", 3}}},
+      {RuntimeConfig::ImplicitZeroCopy, "kernel_hang@call=1", "200us:recover",
+       {{"watchdog-replay", 1}, {"watchdog-recovered", 2}}},
+      {RuntimeConfig::ImplicitZeroCopy, "kernel_hang@call=1", "200us:abort",
+       {{"region-failed", 1}}},
+      {RuntimeConfig::EagerMaps, "eintr@call=1..3", "",
+       {{"prefault-retry", 1},
+        {"prefault-retry", 2},
+        {"prefault-retry", 3},
+        {"prefault-retry-succeeded", 4}}},
+      {RuntimeConfig::EagerMaps, "eintr@call=1..5", "",
+       {{"prefault-retry", 1},
+        {"prefault-retry", 2},
+        {"prefault-retry", 3},
+        {"prefault-retry", 4},
+        {"prefault-fallback-xnack", 5}}},
+      {RuntimeConfig::EagerMaps, "prefault_hang@call=1;eintr@call=2",
+       "150us:recover",
+       {{"watchdog-replay", 1},
+        {"prefault-retry", 2},
+        {"watchdog-recovered", 3},
+        {"prefault-retry-succeeded", 3}}},
+  };
+  for (const Case& c : cases) {
+    auto stack = make_stack(c.config, c.faults, c.watchdog);
+    try {
+      (void)run_increment(*stack, 1024);
+    } catch (const OffloadError&) {
+      // The exhausted cases fail their region; the records are the point.
+    }
+    std::vector<std::pair<std::string, int>> ladder;
+    for (const trace::FaultRecord& r : stack->hsa().fault_trace().records()) {
+      switch (r.event) {
+        case FaultEvent::CopyRetry:
+        case FaultEvent::CopyRetrySucceeded:
+        case FaultEvent::PrefaultRetry:
+        case FaultEvent::PrefaultRetrySucceeded:
+        case FaultEvent::PrefaultFallbackXnack:
+        case FaultEvent::WatchdogReplay:
+        case FaultEvent::WatchdogRecovered:
+        case FaultEvent::RegionFailed:
+          ladder.emplace_back(trace::to_string(r.event), r.attempt);
+          break;
+        default:
+          EXPECT_EQ(r.attempt, 0) << trace::to_string(r.event);
+      }
+    }
+    EXPECT_EQ(ladder, c.ladder) << c.faults << " / " << c.watchdog;
+  }
 }
 
 TEST(WatchdogRecovery, HungPrefaultIsRetriedAfterTheAbort) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -79,7 +80,41 @@ TEST_F(PressureHsaTest, PoolAllocationReclaimsColdPagesInsteadOfFailing) {
   EXPECT_EQ(rt_->fault_trace().count(FaultEvent::PoolReclaimed), 1u);
   EXPECT_TRUE(rt_->fault_trace().any(FaultEvent::PagesEvicted));
   EXPECT_FALSE(rt_->fault_trace().any(FaultEvent::HbmExhausted));
+  EXPECT_FALSE(rt_->fault_trace().any(FaultEvent::ThpSplit));  // static THP
   EXPECT_GE(rt_->device_counters()[0].evicted_pages, 8u);
+}
+
+TEST_F(PressureHsaTest, ReclaimRecordsTheThpSpansItSplits) {
+  // Under THP=dynamic every spilled page splits the 2 MB span around it.
+  // The split pricing is charged to the reclaim, and the split count is
+  // recorded as a ThpSplit event, alongside PagesEvicted.
+  make("", /*hbm_pages=*/32, apu::PressureMode::Watermarks,
+       /*automigrate=*/false, apu::ThpMode::Dynamic);
+  std::uint64_t split = 0;
+  run([&] {
+    mem::Allocation& zc = mem_->os_alloc(16 * kPage, "zc", 0);
+    mem_->host_touch(zc.range());
+    ASSERT_EQ(mem_->split_spans(zc.range()), 0u);
+    ASSERT_TRUE(rt_->try_memory_pool_allocate(24 * kPage, "pool").ok());
+    split = mem_->split_spans(zc.range());
+  });
+  ASSERT_GT(split, 0u);
+  const trace::FaultTrace& faults = rt_->fault_trace();
+  ASSERT_EQ(faults.count(FaultEvent::PagesEvicted), 1u);
+  ASSERT_EQ(faults.count(FaultEvent::ThpSplit), 1u);
+  const auto& records = faults.records();
+  auto find = [&](FaultEvent e) {
+    return *std::find_if(records.begin(), records.end(),
+                         [e](const trace::FaultRecord& r) {
+                           return r.event == e;
+                         });
+  };
+  const trace::FaultRecord evicted = find(FaultEvent::PagesEvicted);
+  const trace::FaultRecord thp = find(FaultEvent::ThpSplit);
+  EXPECT_EQ(thp.bytes, split);
+  EXPECT_EQ(thp.device, 0);
+  EXPECT_EQ(thp.host_base, 0u);
+  EXPECT_EQ(thp.time, evicted.time);
 }
 
 TEST_F(PressureHsaTest, PoolAllocationStillFailsHardWithPressureOff) {

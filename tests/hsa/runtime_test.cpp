@@ -581,13 +581,5 @@ TEST_F(HsaRuntimeTest, KernelBodyExceptionPropagates) {
                std::runtime_error);
 }
 
-TEST_F(HsaRuntimeTest, MachineEventLogRecordsPoolAllocations) {
-  machine_.log().enable();
-  run([&] { (void)rt_.memory_pool_allocate(1 << 20, "logged"); });
-  const auto events = machine_.log().by_category("hsa");
-  ASSERT_FALSE(events.empty());
-  EXPECT_NE(events.front().text.find("pool_allocate"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace zc::hsa
