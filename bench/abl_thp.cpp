@@ -42,8 +42,8 @@ int main(int argc, char** argv) {
     for (const RuntimeConfig cfg :
          {RuntimeConfig::LegacyCopy, RuntimeConfig::ImplicitZeroCopy,
           RuntimeConfig::EagerMaps}) {
-      workloads::RunOptions opts{.config = cfg, .seed = args.seed};
-      opts.transparent_huge_pages = thp;
+      workloads::RunOptions opts{
+          .config = cfg, .seed = args.seed, .thp_spec = thp ? "1" : "0"};
       if (!thp) {
         opts.costs = small_pages;
       }

@@ -252,10 +252,7 @@ struct RunEnvironment {
   bool hsa_xnack = true;
   ApuMapsMode ompx_apu_maps = ApuMapsMode::Off;
   bool ompx_eager_maps = false;
-  bool transparent_huge_pages = true;
-  /// Full three-state THP setting; `transparent_huge_pages` stays the
-  /// authoritative page-size bool and is kept in sync by parsing
-  /// (`dynamic` implies 2 MB pages).
+  /// THP setting; it alone decides the page size (`page_bytes`).
   ThpMode thp = ThpMode::On;
   std::string ompx_apu_faults;
   WatchdogConfig watchdog;
@@ -272,13 +269,15 @@ struct RunEnvironment {
   AutomigrateConfig ompx_apu_automigrate;
   ServiceConfig ompx_apu_service;
 
-  /// Page size implied by the THP setting: 2 MB when on, 4 KB when off.
+  /// Page size implied by the THP setting: 4 KB when off, 2 MB when on or
+  /// dynamic.
   [[nodiscard]] std::uint64_t page_bytes() const {
-    return transparent_huge_pages ? (2ULL << 20) : (4ULL << 10);
+    return thp == ThpMode::Off ? (4ULL << 10) : (2ULL << 20);
   }
 
-  /// Parse from environment-variable-style key/value pairs; unknown keys
-  /// are ignored. Boolean knobs accept "1"/"true"/"on"/"yes" and
+  /// Parse from environment-variable-style key/value pairs on top of
+  /// `base` (a key that is absent keeps `base`'s value); unknown keys are
+  /// ignored. Boolean knobs accept "1"/"true"/"on"/"yes" and
   /// "0"/"false"/"off"/"no" (case-insensitive); `OMPX_APU_MAPS`
   /// additionally accepts "adaptive". Any other value for a recognized key
   /// throws `EnvError`. Keys: HSA_XNACK, OMPX_APU_MAPS,
@@ -294,6 +293,9 @@ struct RunEnvironment {
   /// >= 2 giving the remote-touch threshold), OMPX_APU_SERVICE (parsed via
   /// `parse_service`). THP additionally accepts "dynamic" (2 MB pages plus
   /// the split/collapse state machine).
+  [[nodiscard]] static RunEnvironment from_env(
+      const std::map<std::string, std::string>& env, RunEnvironment base);
+  /// `from_env` on top of the defaults.
   [[nodiscard]] static RunEnvironment from_env(
       const std::map<std::string, std::string>& env);
 

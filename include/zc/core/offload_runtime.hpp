@@ -254,33 +254,52 @@ class OffloadRuntime {
   /// and used buffers by home socket; ties break to the lower socket.
   [[nodiscard]] int resolve_device(const TargetRegion& region) const;
 
-  /// Map semantics for one entry on region/data-begin; h2d copies are
-  /// appended to `copies`.
+  /// How the runtime realizes one map entry under the active
+  /// configuration:
+  ///  * `ZeroCopy` — never enters the present table (USM; non-globals
+  ///    under Implicit Z-C and Eager Maps);
+  ///  * `Copy` — device storage plus DMA (Legacy Copy; globals in every
+  ///    configuration but USM);
+  ///  * `Policy` — the Adaptive Maps engine classifies each present-table
+  ///    miss (Adaptive Maps non-globals).
+  enum class MapHandling { ZeroCopy, Copy, Policy };
+  [[nodiscard]] MapHandling handling(const MapEntry& entry) const;
+  [[nodiscard]] bool is_global_addr(mem::VirtAddr a) const;
+
+  /// Map semantics for one entry on region/data-begin, one present-table
+  /// transaction for every configuration: a hit takes a reference; a miss
+  /// is realized as a breaker-pinned fallback, a policy decision or a
+  /// DmaCopy, whose pool allocation, OOM fallback, insert, prefault and
+  /// h2d copy (appended to `copies`) share one code path.
   void begin_one(const MapEntry& entry, int device,
                  std::vector<PendingCopy>& copies);
-  /// Adaptive Maps handling of one engine-managed (non-global) entry:
-  /// consult the policy inside the table transaction, then realize the
-  /// decision (DMA/prefault submitted outside the lock).
-  void begin_one_adaptive(const MapEntry& entry, int device,
-                          std::vector<PendingCopy>& copies);
+  /// Adaptive Maps classification of a `Policy` entry's present-table
+  /// miss, inside the transaction: gather the region features, ask the
+  /// policy engine, charge the evaluation (or cache-hit) cost and record
+  /// fresh decisions in the `DecisionTrace`.
+  [[nodiscard]] adapt::Decision decide_locked(const MapEntry& entry,
+                                              int device);
   /// First pass of data-end: issue d2h copies.
   void end_copy_one(const MapEntry& entry, int device,
                     std::vector<PendingCopy>& copies);
   /// Second pass of data-end: decrement refcounts, free device storage.
   void end_release_one(const MapEntry& entry, int device);
+  /// `target update to` (`to_device`) or `from`: one blocking DMA between
+  /// the host range and its present device storage.
+  void target_update(const MapEntry& entry, int device, bool to_device);
 
-  /// Degraded-mode mapping of one Copy-managed entry as zero-copy, used
-  /// both as the reaction to a device-pool OOM (`reason` =
-  /// OomFallbackZeroCopy, which also counts as a breaker trip) and as the
-  /// open-breaker pinning path (`reason` = BreakerPinnedMap, which must NOT
-  /// feed the breaker — pinned maps are the breaker's own output, and
-  /// counting them would hold it open forever). With XNACK disabled the
-  /// range is prefaulted into the GPU page table *before* the degraded
-  /// entry becomes visible in the present table — another thread could
-  /// dispatch a kernel on the range the moment it is published, and an
-  /// untranslatable page would then be a fatal GpuMemoryFault.
+  /// Degraded-mode mapping of one entry as zero-copy, used both as the
+  /// reaction to a device-pool OOM (`reason` = OomFallbackZeroCopy, which
+  /// also counts as a breaker trip) and as the open-breaker pinning path
+  /// (`reason` = BreakerPinnedMap, which must NOT feed the breaker —
+  /// pinned maps are the breaker's own output, and counting them would
+  /// hold it open forever). With XNACK disabled the range is prefaulted
+  /// into the GPU page table *before* the degraded entry becomes visible
+  /// in the present table — another thread could dispatch a kernel on the
+  /// range the moment it is published, and an untranslatable page would
+  /// then be a fatal GpuMemoryFault.
   void fallback_map_zero_copy(const MapEntry& entry, int device,
-                              trace::FaultEvent reason, bool counts_as_trip);
+                              trace::FaultEvent reason);
 
   /// `svm_attributes_set` through the retry ladder: EINTR/EBUSY calls are
   /// retried with exponential backoff in virtual time, hung calls are
@@ -293,16 +312,6 @@ class OffloadRuntime {
                                         std::uint64_t bytes,
                                         mem::AddrRange host, bool with_handler,
                                         bool count_in_ledger, int device);
-
-  /// Whether this entry's data is handled Copy-style (device copy + DMA):
-  /// always under Legacy Copy; only globals under Implicit Z-C/Eager
-  /// Maps/Adaptive Maps; never under USM.
-  [[nodiscard]] bool copy_managed(const MapEntry& entry) const;
-  /// Whether this entry's handling is chosen by the adapt policy engine
-  /// (Adaptive Maps, non-global): present in the table means a live
-  /// DmaCopy classification, absent means zero-copy semantics.
-  [[nodiscard]] bool engine_managed(const MapEntry& entry) const;
-  [[nodiscard]] bool is_global_addr(mem::VirtAddr a) const;
 
   /// Wait for a batch of copies, then run the retry ladder on each copy
   /// that errored or that the watchdog aborted. A copy whose error budget

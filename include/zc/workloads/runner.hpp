@@ -29,7 +29,10 @@ struct Program {
   std::function<double(omp::OffloadStack&)> finalize;
 };
 
-/// How to run a Program once.
+/// How to run a Program once. The non-empty `*_spec` strings are parsed
+/// together, once per run, by `apu::RunEnvironment::from_env` under their
+/// environment-variable names, so a malformed one raises the same
+/// `apu::EnvError` the variable would.
 struct RunOptions {
   omp::RuntimeConfig config = omp::RuntimeConfig::ImplicitZeroCopy;
   sim::JitterParams jitter{};
@@ -52,13 +55,12 @@ struct RunOptions {
   std::optional<std::uint64_t> stress_seed;
 
   /// Ablation overrides (defaults: MI300A machine as configured for
-  /// `config`). `transparent_huge_pages=false` switches to 4 KB pages.
+  /// `config`). `thp_spec = "0"` switches to 4 KB pages.
   std::optional<apu::CostParams> costs;
   std::optional<apu::Topology> topology;
-  std::optional<bool> transparent_huge_pages;
 
   /// Deterministic fault schedule (OMPX_APU_FAULTS grammar); empty runs
-  /// fault-free. Validated at machine construction.
+  /// fault-free.
   std::string fault_spec;
 
   /// Hang-detection budget (OMPX_APU_WATCHDOG grammar, e.g. "200us" or
@@ -92,8 +94,7 @@ struct RunOptions {
 
   /// Transparent-huge-page mode (THP grammar: boolean or "dynamic");
   /// empty keeps the config's default. "dynamic" enables the 2 MB <-> 4 KB
-  /// split/collapse state machine on top of huge pages. Overrides
-  /// `transparent_huge_pages` when both are set.
+  /// split/collapse state machine on top of huge pages.
   std::string thp_spec;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <utility>
 
 #include "zc/fault/spec.hpp"
 
@@ -245,7 +246,12 @@ ServiceConfig parse_service(const std::string& raw) {
 
 RunEnvironment RunEnvironment::from_env(
     const std::map<std::string, std::string>& env) {
-  RunEnvironment out;
+  return from_env(env, RunEnvironment{});
+}
+
+RunEnvironment RunEnvironment::from_env(
+    const std::map<std::string, std::string>& env, RunEnvironment base) {
+  RunEnvironment out = std::move(base);
   if (auto it = env.find("HSA_XNACK"); it != env.end()) {
     out.hsa_xnack = truthy(it->first, it->second);
   }
@@ -257,7 +263,6 @@ RunEnvironment RunEnvironment::from_env(
   }
   if (auto it = env.find("THP"); it != env.end()) {
     out.thp = thp_mode(it->first, it->second);
-    out.transparent_huge_pages = out.thp != ThpMode::Off;
   }
   if (auto it = env.find("OMPX_APU_FAULTS"); it != env.end()) {
     try {

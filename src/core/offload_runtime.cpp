@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -326,24 +327,25 @@ bool OffloadRuntime::is_global_addr(mem::VirtAddr a) const {
                      [a](const mem::AddrRange& r) { return r.contains(a); });
 }
 
-bool OffloadRuntime::copy_managed(const MapEntry& entry) const {
+OffloadRuntime::MapHandling OffloadRuntime::handling(
+    const MapEntry& entry) const {
   switch (config_) {
     case RuntimeConfig::LegacyCopy:
-      return true;
+      return MapHandling::Copy;
     case RuntimeConfig::UnifiedSharedMemory:
-      return false;
+      return MapHandling::ZeroCopy;
     case RuntimeConfig::ImplicitZeroCopy:
     case RuntimeConfig::EagerMaps:
     case RuntimeConfig::AdaptiveMaps:
       // §IV-C: globals keep Copy behaviour; everything else is zero-copy
-      // (or, under Adaptive Maps, engine-classified).
-      return is_global_addr(entry.host_ptr);
+      // (or, under Adaptive Maps, policy-classified).
+      if (is_global_addr(entry.host_ptr)) {
+        return MapHandling::Copy;
+      }
+      return config_ == RuntimeConfig::AdaptiveMaps ? MapHandling::Policy
+                                                    : MapHandling::ZeroCopy;
   }
-  return true;
-}
-
-bool OffloadRuntime::engine_managed(const MapEntry& entry) const {
-  return config_ == RuntimeConfig::AdaptiveMaps && !copy_managed(entry);
+  return MapHandling::Copy;
 }
 
 OffloadRuntime::PendingCopy OffloadRuntime::submit_copy(
@@ -618,11 +620,10 @@ bool OffloadRuntime::breaker_pinned_locked(int device) {
 }
 
 void OffloadRuntime::fallback_map_zero_copy(const MapEntry& entry, int device,
-                                            trace::FaultEvent reason,
-                                            bool counts_as_trip) {
+                                            trace::FaultEvent reason) {
   apu::Machine& m = hsa_.machine();
   hsa_.record_fault(reason, device, entry.host_range());
-  if (counts_as_trip) {
+  if (reason != trace::FaultEvent::BreakerPinnedMap) {
     // Degraded-mode events feed the breaker alongside watchdog trips; the
     // breaker's own pinned maps must not, or it would never close.
     note_breaker_trip(device);
@@ -650,6 +651,51 @@ void OffloadRuntime::fallback_map_zero_copy(const MapEntry& entry, int device,
   e.degraded = true;
 }
 
+adapt::Decision OffloadRuntime::decide_locked(const MapEntry& entry,
+                                              int device) {
+  apu::Machine& m = hsa_.machine();
+  const mem::AddrRange range = entry.host_range();
+  adapt::RegionFeatures features;
+  features.range = range;
+  features.pages = range.page_count(m.page_bytes());
+  features.cpu_resident_pages = hsa_.memory().cpu_resident_pages(range);
+  features.gpu_absent_pages = hsa_.memory().gpu_absent_pages(range, device);
+  features.remote_pages = hsa_.memory().remote_pages(range, device);
+  features.ddr_pages = hsa_.memory().ddr_pages(range);
+  features.copies_in = copies_to_device(entry.type);
+  features.copies_out = copies_to_host(entry.type);
+  features.memory_pressure =
+      pressure_.get(m.sched())[static_cast<std::size_t>(device)] != 0;
+  features.breaker_open = breaker_pinned_locked(device);
+  features.tenant_pressure =
+      service_pressure_.get(m.sched())[static_cast<std::size_t>(device)];
+  const adapt::Outcome out = adapt_.get(m.sched()).decide(device, features);
+  trace::DecisionTrace& dtrace = decisions_.get(m.sched());
+  if (!out.fresh) {
+    m.sched().advance(m.adapt_params().cache_hit_cost);
+    dtrace.note_cache_hit();
+    return out.decision;
+  }
+  m.sched().advance(m.adapt_params().eval_cost);
+  dtrace.record(trace::DecisionRecord{
+      .decision = out.decision,
+      .host_thread = m.sched().current().id(),
+      .device = device,
+      .time = m.sched().now(),
+      .host_base = range.base.value,
+      .bytes = range.bytes,
+      .pages = features.pages,
+      .cpu_resident_pages = features.cpu_resident_pages,
+      .gpu_absent_pages = features.gpu_absent_pages,
+      .predicted_copy_us = out.costs.copy_us,
+      .predicted_zero_copy_us = out.costs.zero_copy_us,
+      .predicted_eager_us = out.costs.eager_us,
+      .revised = out.revised,
+      .memory_pressure = features.memory_pressure,
+      .breaker_open = features.breaker_open});
+  return out.decision;
+}
+
 void OffloadRuntime::begin_one(const MapEntry& entry, int device,
                                std::vector<PendingCopy>& copies) {
   if (entry.bytes == 0) {
@@ -665,11 +711,8 @@ void OffloadRuntime::begin_one(const MapEntry& entry, int device,
   apu::Machine& m = hsa_.machine();
   m.sched().advance(m.costs().map_bookkeeping);
 
-  if (!copy_managed(entry)) {
-    if (engine_managed(entry)) {
-      begin_one_adaptive(entry, device, copies);
-      return;
-    }
+  const MapHandling handling = this->handling(entry);
+  if (handling == MapHandling::ZeroCopy) {
     // Zero-copy: no storage operation. Eager Maps additionally prefaults
     // the GPU page table for the mapped range on every map (with the
     // backoff ladder against transient syscall faults). An open breaker
@@ -687,172 +730,66 @@ void OffloadRuntime::begin_one(const MapEntry& entry, int device,
   }
 
   bool do_copy = false;
-  bool need_fallback = false;
-  bool pinned_fallback = false;
+  bool do_prefault = false;
+  std::optional<trace::FaultEvent> fallback;
   mem::VirtAddr dev_dst;
   {
-    // Mapping-table transaction: the lookup and the insert (with the device
-    // allocation in between) must be atomic with respect to other host
-    // threads mapping the same range. The device address leaves the
-    // critical section by value — the entry pointer must not.
+    // Mapping-table transaction: the lookup, the classification of a miss
+    // and the insert (with the device allocation in between) must be
+    // atomic with respect to other host threads mapping the same range, or
+    // two threads could classify it differently and race their inserts.
+    // The device address leaves the critical section by value — the entry
+    // pointer must not.
     sim::LockGuard lock{table_mutex_, m.sched()};
     PresentTable& table =
         tables_.get(m.sched())[static_cast<std::size_t>(device)];
     PresentEntry* e = table.lookup_range(entry.host_range());
     if (e != nullptr) {
+      // Present (a Copy mapping or a live DmaCopy classification): plain
+      // Copy reference semantics.
       if (!e->pinned) {
         ++e->refcount;
       }
       do_copy = !e->degraded && entry.always && copies_to_device(entry.type);
       dev_dst = e->device_addr(entry.host_ptr);
-    } else if (breaker_pinned_locked(device)) {
+    } else if (handling == MapHandling::Copy && breaker_pinned_locked(device)) {
       // Open breaker: new mappings skip the pool + DMA entirely (already-
       // mapped ranges above keep their device storage and semantics).
-      need_fallback = true;
-      pinned_fallback = true;
+      fallback = trace::FaultEvent::BreakerPinnedMap;
     } else {
-      const hsa::PoolAllocResult r = hsa_.try_memory_pool_allocate(
-          entry.bytes, "omp-map:" + entry.host_ptr.to_string(),
-          /*count_in_ledger=*/true, device);
-      if (!r.ok()) {
-        // Device pool exhausted: remember the pressure (sticky, feeds the
-        // Adaptive Maps cost model) and degrade this region to zero-copy
-        // outside the lock.
-        pressure_.get(m.sched())[static_cast<std::size_t>(device)] = 1;
-        need_fallback = true;
-      } else {
-        if (r.reclaimed > 0) {
-          // The pool fit only after the driver spilled SVM pages to DDR:
-          // the node is under real pressure. Remember it (sticky, feeds
-          // the Adaptive Maps cost model) — but the allocation succeeded,
-          // so no fallback and no breaker trip.
+      const adapt::Decision decision = handling == MapHandling::Policy
+                                           ? decide_locked(entry, device)
+                                           : adapt::Decision::DmaCopy;
+      do_prefault = decision == adapt::Decision::EagerPrefault;
+      if (decision == adapt::Decision::DmaCopy) {
+        const hsa::PoolAllocResult r = hsa_.try_memory_pool_allocate(
+            entry.bytes, "omp-map:" + entry.host_ptr.to_string(),
+            /*count_in_ledger=*/true, device);
+        if (!r.ok() || r.reclaimed > 0) {
+          // The pool failed, or fit only after the driver spilled SVM
+          // pages to DDR: the node is under real pressure. Remember it
+          // (sticky, feeds the Adaptive Maps cost model).
           pressure_.get(m.sched())[static_cast<std::size_t>(device)] = 1;
         }
-        e = &table.insert(entry.host_range(), r.addr);
-        e->refcount = 1;
-        do_copy = copies_to_device(entry.type);
-        dev_dst = e->device_addr(entry.host_ptr);
-      }
-    }
-  }
-  if (need_fallback) {
-    fallback_map_zero_copy(entry, device,
-                           pinned_fallback
-                               ? trace::FaultEvent::BreakerPinnedMap
-                               : trace::FaultEvent::OomFallbackZeroCopy,
-                           /*counts_as_trip=*/!pinned_fallback);
-    return;
-  }
-  if (do_copy) {
-    // Safe outside the lock: this thread holds a reference (refcount or
-    // pin), so no concurrent release can free the device storage.
-    copies.push_back(submit_copy(dev_dst, entry.host_ptr, entry.bytes,
-                                 entry.host_range(),
-                                 /*with_handler=*/false,
-                                 /*count_in_ledger=*/true, device));
-  }
-}
-
-void OffloadRuntime::begin_one_adaptive(const MapEntry& entry, int device,
-                                        std::vector<PendingCopy>& copies) {
-  apu::Machine& m = hsa_.machine();
-  bool do_copy = false;
-  bool do_prefault = false;
-  bool need_fallback = false;
-  mem::VirtAddr dev_dst;
-  {
-    // The classification is part of the mapping-table transaction: the
-    // table lookup, the policy decision, and (for DmaCopy) the insert must
-    // be atomic, or two threads could classify the same range differently
-    // and race their inserts.
-    sim::LockGuard lock{table_mutex_, m.sched()};
-    PresentTable& table =
-        tables_.get(m.sched())[static_cast<std::size_t>(device)];
-    PresentEntry* e = table.lookup_range(entry.host_range());
-    if (e != nullptr) {
-      // A live DmaCopy classification: plain Copy reference semantics.
-      if (!e->pinned) {
-        ++e->refcount;
-      }
-      do_copy = !e->degraded && entry.always && copies_to_device(entry.type);
-      dev_dst = e->device_addr(entry.host_ptr);
-    } else {
-      const mem::AddrRange range = entry.host_range();
-      adapt::RegionFeatures features;
-      features.range = range;
-      features.pages = range.page_count(m.page_bytes());
-      features.cpu_resident_pages = hsa_.memory().cpu_resident_pages(range);
-      features.gpu_absent_pages =
-          hsa_.memory().gpu_absent_pages(range, device);
-      features.remote_pages = hsa_.memory().remote_pages(range, device);
-      features.ddr_pages = hsa_.memory().ddr_pages(range);
-      features.copies_in = copies_to_device(entry.type);
-      features.copies_out = copies_to_host(entry.type);
-      features.memory_pressure =
-          pressure_.get(m.sched())[static_cast<std::size_t>(device)] != 0;
-      features.breaker_open = breaker_pinned_locked(device);
-      features.tenant_pressure =
-          service_pressure_.get(m.sched())[static_cast<std::size_t>(device)];
-      const adapt::Outcome out =
-          adapt_.get(m.sched()).decide(device, features);
-      trace::DecisionTrace& dtrace = decisions_.get(m.sched());
-      if (out.fresh) {
-        m.sched().advance(m.adapt_params().eval_cost);
-        dtrace.record(trace::DecisionRecord{
-            .decision = out.decision,
-            .host_thread = m.sched().current().id(),
-            .device = device,
-            .time = m.sched().now(),
-            .host_base = range.base.value,
-            .bytes = range.bytes,
-            .pages = features.pages,
-            .cpu_resident_pages = features.cpu_resident_pages,
-            .gpu_absent_pages = features.gpu_absent_pages,
-            .predicted_copy_us = out.costs.copy_us,
-            .predicted_zero_copy_us = out.costs.zero_copy_us,
-            .predicted_eager_us = out.costs.eager_us,
-            .revised = out.revised,
-            .memory_pressure = features.memory_pressure,
-            .breaker_open = features.breaker_open});
-      } else {
-        m.sched().advance(m.adapt_params().cache_hit_cost);
-        dtrace.note_cache_hit();
-      }
-      switch (out.decision) {
-        case adapt::Decision::DmaCopy: {
-          const hsa::PoolAllocResult r = hsa_.try_memory_pool_allocate(
-              entry.bytes, "omp-map:" + entry.host_ptr.to_string(),
-              /*count_in_ledger=*/true, device);
-          if (!r.ok()) {
-            pressure_.get(m.sched())[static_cast<std::size_t>(device)] = 1;
-            need_fallback = true;
-            break;
-          }
-          if (r.reclaimed > 0) {
-            // Fit only after spilling to DDR: sticky pressure, no fallback.
-            pressure_.get(m.sched())[static_cast<std::size_t>(device)] = 1;
-          }
-          e = &table.insert(range, r.addr);
+        if (r.ok()) {
+          e = &table.insert(entry.host_range(), r.addr);
           e->refcount = 1;
           do_copy = copies_to_device(entry.type);
           dev_dst = e->device_addr(entry.host_ptr);
-          break;
+        } else {
+          // Device pool exhausted: degrade this map to zero-copy outside
+          // the lock.
+          fallback = trace::FaultEvent::OomFallbackZeroCopy;
         }
-        case adapt::Decision::ZeroCopy:
-          break;
-        case adapt::Decision::EagerPrefault:
-          do_prefault = true;
-          break;
       }
     }
   }
-  // Like the static configurations, the expensive realizations run outside
-  // the mapping lock: the DMA target is pinned by the refcount we hold,
-  // and the prefault only touches the driver's page tables.
-  if (need_fallback) {
-    fallback_map_zero_copy(entry, device,
-                           trace::FaultEvent::OomFallbackZeroCopy,
-                           /*counts_as_trip=*/true);
+  // The expensive realizations run outside the mapping lock: the DMA
+  // target is pinned by the reference this thread holds (no concurrent
+  // release can free it), and the prefault only touches the driver's page
+  // tables.
+  if (fallback) {
+    fallback_map_zero_copy(entry, device, *fallback);
     return;
   }
   if (do_prefault) {
@@ -870,7 +807,8 @@ void OffloadRuntime::end_copy_one(const MapEntry& entry, int device,
                                   std::vector<PendingCopy>& copies) {
   apu::Machine& m = hsa_.machine();
   m.sched().advance(m.costs().map_bookkeeping);
-  if (!copy_managed(entry) && !engine_managed(entry)) {
+  const MapHandling handling = this->handling(entry);
+  if (handling == MapHandling::ZeroCopy) {
     return;
   }
   bool do_copy = false;
@@ -886,7 +824,7 @@ void OffloadRuntime::end_copy_one(const MapEntry& entry, int device,
         tables_.get(m.sched())[static_cast<std::size_t>(device)].lookup_range(
             entry.host_range());
     if (e == nullptr) {
-      if (engine_managed(entry)) {
+      if (handling == MapHandling::Policy) {
         return;  // classified zero-copy/prefault: data already in place
       }
       if (exit_only(entry.type)) {
@@ -915,17 +853,18 @@ void OffloadRuntime::end_copy_one(const MapEntry& entry, int device,
 }
 
 void OffloadRuntime::end_release_one(const MapEntry& entry, int device) {
-  const bool adaptive = engine_managed(entry);
-  if (!copy_managed(entry) && !adaptive) {
+  const MapHandling handling = this->handling(entry);
+  if (handling == MapHandling::ZeroCopy) {
     return;
   }
+  const bool policy = handling == MapHandling::Policy;
   sim::Scheduler& sched = hsa_.machine().sched();
   sim::LockGuard lock{table_mutex_, sched};
   PresentTable& table =
       tables_.get(sched)[static_cast<std::size_t>(device)];
   PresentEntry* e = table.lookup_range(entry.host_range());
   if (e == nullptr) {
-    if (adaptive) {
+    if (policy) {
       // Zero-copy-classified range: the mapping lifetime the policy's
       // `decide` opened ends here.
       adapt_.get(sched).release(device, entry.host_range());
@@ -950,7 +889,7 @@ void OffloadRuntime::end_release_one(const MapEntry& entry, int device) {
       hsa_.memory_pool_free(dev);
     }
     table.erase(host_base);
-    if (adaptive) {
+    if (policy) {
       // The DmaCopy classification's lifetime ends with the table entry.
       adapt_.get(sched).release(device, entry.host_range());
     }
@@ -1039,19 +978,30 @@ void OffloadRuntime::target_exit_data(std::span<const MapEntry> maps,
 }
 
 void OffloadRuntime::target_update_to(const MapEntry& entry, int device) {
+  target_update(entry, device, /*to_device=*/true);
+}
+
+void OffloadRuntime::target_update_from(const MapEntry& entry, int device) {
+  target_update(entry, device, /*to_device=*/false);
+}
+
+void OffloadRuntime::target_update(const MapEntry& entry, int device,
+                                   bool to_device) {
   if (recorder_ != nullptr) {
-    recorder_->record(
-        hsa_.machine().sched(),
-        make_map_op(check::OpKind::UpdateTo, {&entry, 1}, device));
+    recorder_->record(hsa_.machine().sched(),
+                      make_map_op(to_device ? check::OpKind::UpdateTo
+                                            : check::OpKind::UpdateFrom,
+                                  {&entry, 1}, device));
   }
   ensure_initialized();
   check_device(device);
   apu::Machine& m = hsa_.machine();
   m.sched().advance(m.costs().map_bookkeeping);
-  if (!copy_managed(entry) && !engine_managed(entry)) {
+  const MapHandling handling = this->handling(entry);
+  if (handling == MapHandling::ZeroCopy) {
     return;
   }
-  mem::VirtAddr dev_dst;
+  mem::VirtAddr dev;
   {
     // Lookup + device-address resolution under the mapping lock; the
     // transfer itself runs outside it (libomptarget releases the lock
@@ -1062,51 +1012,12 @@ void OffloadRuntime::target_update_to(const MapEntry& entry, int device) {
         tables_.get(m.sched())[static_cast<std::size_t>(device)].lookup_range(
             entry.host_range());
     if (e == nullptr) {
-      if (engine_managed(entry)) {
-        return;  // zero-copy-classified: kernels read host memory directly
-      }
-      throw MappingError("target update to() of unmapped range at " +
-                             entry.host_ptr.to_string(),
-                         ErrorCode::MappingViolation, device,
-                         entry.host_range());
-    }
-    if (e->degraded) {
-      return;  // degraded to zero-copy: host memory is the single copy
-    }
-    dev_dst = e->device_addr(entry.host_ptr);
-  }
-  std::vector<PendingCopy> copies;
-  copies.push_back(submit_copy(dev_dst, entry.host_ptr, entry.bytes,
-                               entry.host_range(), /*with_handler=*/false,
-                               /*count_in_ledger=*/true, device));
-  wait_all(copies);
-}
-
-void OffloadRuntime::target_update_from(const MapEntry& entry, int device) {
-  if (recorder_ != nullptr) {
-    recorder_->record(
-        hsa_.machine().sched(),
-        make_map_op(check::OpKind::UpdateFrom, {&entry, 1}, device));
-  }
-  ensure_initialized();
-  check_device(device);
-  apu::Machine& m = hsa_.machine();
-  m.sched().advance(m.costs().map_bookkeeping);
-  if (!copy_managed(entry) && !engine_managed(entry)) {
-    return;
-  }
-  mem::VirtAddr dev_src;
-  {
-    // Same transaction discipline as target_update_to.
-    sim::LockGuard lock{table_mutex_, m.sched()};
-    PresentEntry* const e =
-        tables_.get(m.sched())[static_cast<std::size_t>(device)].lookup_range(
-            entry.host_range());
-    if (e == nullptr) {
-      if (engine_managed(entry)) {
+      if (handling == MapHandling::Policy) {
         return;  // zero-copy-classified: host memory is the single copy
       }
-      throw MappingError("target update from() of unmapped range at " +
+      throw MappingError(std::string{"target update "} +
+                             (to_device ? "to" : "from") +
+                             "() of unmapped range at " +
                              entry.host_ptr.to_string(),
                          ErrorCode::MappingViolation, device,
                          entry.host_range());
@@ -1114,11 +1025,12 @@ void OffloadRuntime::target_update_from(const MapEntry& entry, int device) {
     if (e->degraded) {
       return;  // degraded to zero-copy: host memory is the single copy
     }
-    dev_src = e->device_addr(entry.host_ptr);
+    dev = e->device_addr(entry.host_ptr);
   }
   std::vector<PendingCopy> copies;
-  copies.push_back(submit_copy(entry.host_ptr, dev_src, entry.bytes,
-                               entry.host_range(), /*with_handler=*/true,
+  copies.push_back(submit_copy(to_device ? dev : entry.host_ptr,
+                               to_device ? entry.host_ptr : dev, entry.bytes,
+                               entry.host_range(), /*with_handler=*/!to_device,
                                /*count_in_ledger=*/true, device));
   wait_all(copies);
 }

@@ -1,6 +1,7 @@
 #include "zc/workloads/runner.hpp"
 
 #include <chrono>
+#include <map>
 #include <stdexcept>
 #include <utility>
 
@@ -13,8 +14,11 @@ namespace zc::workloads {
 
 namespace {
 
+/// The machine configuration `options` select: the config's base machine
+/// with every non-empty `*_spec` string parsed once, by the same parser as
+/// the environment variable it stands for.
 [[nodiscard]] apu::Machine::Config build_machine_config(
-    const RunOptions& options, bool race_detector_off) {
+    const RunOptions& options) {
   apu::Machine::Config machine_config = omp::OffloadStack::machine_config_for(
       options.config, options.jitter, options.seed);
   if (options.costs) {
@@ -23,47 +27,22 @@ namespace {
   if (options.topology) {
     machine_config.topology = *options.topology;
   }
-  if (options.transparent_huge_pages) {
-    machine_config.env.transparent_huge_pages = *options.transparent_huge_pages;
-  }
-  if (!options.fault_spec.empty()) {
-    machine_config.env.ompx_apu_faults = options.fault_spec;
-  }
-  if (!options.watchdog_spec.empty()) {
-    machine_config.env.watchdog = apu::parse_watchdog(options.watchdog_spec);
-  }
-  if (!options.race_check_spec.empty() && !race_detector_off) {
-    machine_config.env.race_check =
-        apu::RunEnvironment::from_env(
-            {{"OMPX_APU_RACE_CHECK", options.race_check_spec}})
-            .race_check;
-  }
+  std::map<std::string, std::string> env{
+      {"OMPX_APU_FAULTS", options.fault_spec},
+      {"OMPX_APU_WATCHDOG", options.watchdog_spec},
+      {"OMPX_APU_RACE_CHECK", options.race_check_spec},
+      {"OMPX_APU_CHECK", options.check_spec},
+      {"OMPX_APU_PRESSURE", options.pressure_spec},
+      {"OMPX_APU_AUTOMIGRATE", options.automigrate_spec},
+      {"THP", options.thp_spec},
+      {"OMPX_APU_FABRIC", options.fabric_spec},
+  };
+  // An empty spec keeps the configuration's default.
+  std::erase_if(env, [](const auto& kv) { return kv.second.empty(); });
+  machine_config.env =
+      apu::RunEnvironment::from_env(env, std::move(machine_config.env));
   if (options.sockets > 0) {
     machine_config.env.ompx_apu_sockets = options.sockets;
-  }
-  if (!options.pressure_spec.empty()) {
-    machine_config.env.ompx_apu_pressure =
-        apu::RunEnvironment::from_env(
-            {{"OMPX_APU_PRESSURE", options.pressure_spec}})
-            .ompx_apu_pressure;
-  }
-  if (!options.automigrate_spec.empty()) {
-    machine_config.env.ompx_apu_automigrate =
-        apu::RunEnvironment::from_env(
-            {{"OMPX_APU_AUTOMIGRATE", options.automigrate_spec}})
-            .ompx_apu_automigrate;
-  }
-  if (!options.thp_spec.empty()) {
-    const apu::RunEnvironment parsed =
-        apu::RunEnvironment::from_env({{"THP", options.thp_spec}});
-    machine_config.env.thp = parsed.thp;
-    machine_config.env.transparent_huge_pages = parsed.transparent_huge_pages;
-  }
-  if (!options.fabric_spec.empty()) {
-    machine_config.env.ompx_apu_fabric =
-        apu::RunEnvironment::from_env(
-            {{"OMPX_APU_FABRIC", options.fabric_spec}})
-            .ompx_apu_fabric;
   }
   return machine_config;
 }
@@ -155,24 +134,12 @@ RunResult run_program(const Program& program, const RunOptions& options) {
   if (!program.setup_threads) {
     throw std::invalid_argument("run_program: program has no setup_threads");
   }
-  apu::CheckMode check_mode = apu::CheckMode::Off;
-  if (!options.check_spec.empty()) {
-    check_mode = apu::RunEnvironment::from_env(
-                     {{"OMPX_APU_CHECK", options.check_spec}})
-                     .ompx_apu_check;
-  }
-  bool race_pruned = false;
-  if (!options.race_check_spec.empty()) {
-    const apu::RunEnvironment parsed = apu::RunEnvironment::from_env(
-        {{"OMPX_APU_RACE_CHECK", options.race_check_spec}});
-    race_pruned =
-        parsed.race_check_pruned && parsed.race_check != apu::RaceCheckMode::Off;
-  }
+  const apu::Machine::Config machine_config = build_machine_config(options);
+  const apu::CheckMode check_mode = machine_config.env.ompx_apu_check;
+  const bool race_pruned = machine_config.env.race_check_pruned;
 
   if (check_mode == apu::CheckMode::Off && !race_pruned) {
-    return run_stack(program, options,
-                     build_machine_config(options, /*race_detector_off=*/false),
-                     nullptr, nullptr);
+    return run_stack(program, options, machine_config, nullptr, nullptr);
   }
 
   // --- recorded flow ------------------------------------------------------
@@ -184,28 +151,23 @@ RunResult run_program(const Program& program, const RunOptions& options) {
   // records on the single measured run — the recorder is passive, so
   // recording does not perturb it.
   RunResult result;
-  check::Recorder recorder{
-      build_machine_config(options, /*race_detector_off=*/true)
-          .env.page_bytes()};
+  check::Recorder recorder{machine_config.env.page_bytes()};
   double phase_ms = 0.0;
   check::Analysis analysis;
   if (race_pruned) {
+    apu::Machine::Config record_config = machine_config;
+    record_config.env.race_check = apu::RaceCheckMode::Off;
     const WallClock::time_point start = WallClock::now();
-    (void)run_stack(program, options,
-                    build_machine_config(options, /*race_detector_off=*/true),
-                    &recorder, nullptr);
+    (void)run_stack(program, options, std::move(record_config), &recorder,
+                    nullptr);
     analysis = check::analyze(recorder.build(), options.config);
     phase_ms = ms_since(start);
     const race::PruneFilter filter = race::PruneFilter::from_partition(
         analysis.partition.proven_safe, analysis.partition.must_check,
         recorder.page_bytes());
-    result = run_stack(program, options,
-                       build_machine_config(options, /*race_detector_off=*/false),
-                       nullptr, &filter);
+    result = run_stack(program, options, machine_config, nullptr, &filter);
   } else {
-    result = run_stack(program, options,
-                       build_machine_config(options, /*race_detector_off=*/false),
-                       &recorder, nullptr);
+    result = run_stack(program, options, machine_config, &recorder, nullptr);
     const WallClock::time_point analyze_start = WallClock::now();
     analysis = check::analyze(recorder.build(), options.config);
     phase_ms = ms_since(analyze_start);

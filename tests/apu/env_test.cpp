@@ -13,14 +13,15 @@ TEST(RunEnvironment, Defaults) {
   EXPECT_TRUE(env.hsa_xnack);
   EXPECT_EQ(env.ompx_apu_maps, ApuMapsMode::Off);
   EXPECT_FALSE(env.ompx_eager_maps);
-  EXPECT_TRUE(env.transparent_huge_pages);
+  EXPECT_EQ(env.thp, ThpMode::On);
   EXPECT_EQ(env.page_bytes(), 2ULL << 20);
 }
 
 TEST(RunEnvironment, ThpOffMeansSmallPages) {
   RunEnvironment env;
-  env.transparent_huge_pages = false;
+  env.thp = ThpMode::Off;
   EXPECT_EQ(env.page_bytes(), 4096u);
+  EXPECT_NE(env.to_string().find("THP=0"), std::string::npos);
 }
 
 TEST(RunEnvironment, FromEnvParsesTruthyForms) {
@@ -31,13 +32,26 @@ TEST(RunEnvironment, FromEnvParsesTruthyForms) {
   EXPECT_FALSE(env.hsa_xnack);
   EXPECT_EQ(env.ompx_apu_maps, ApuMapsMode::On);
   EXPECT_TRUE(env.ompx_eager_maps);
-  EXPECT_FALSE(env.transparent_huge_pages);
+  EXPECT_EQ(env.thp, ThpMode::Off);
+  EXPECT_EQ(env.page_bytes(), 4096u);
 }
 
 TEST(RunEnvironment, FromEnvIgnoresUnknownKeysAndKeepsDefaults) {
   const auto env = RunEnvironment::from_env({{"PATH", "/bin"}});
   EXPECT_TRUE(env.hsa_xnack);
-  EXPECT_TRUE(env.transparent_huge_pages);
+  EXPECT_EQ(env.thp, ThpMode::On);
+}
+
+TEST(RunEnvironment, FromEnvLayersOnABase) {
+  RunEnvironment base;
+  base.hsa_xnack = false;
+  base.ompx_apu_sockets = 4;
+  const auto env = RunEnvironment::from_env(
+      {{"THP", "dynamic"}, {"OMPX_APU_PRESSURE", "watermarks"}}, base);
+  EXPECT_FALSE(env.hsa_xnack);  // absent keys keep the base's values
+  EXPECT_EQ(env.ompx_apu_sockets, 4);
+  EXPECT_EQ(env.thp, ThpMode::Dynamic);
+  EXPECT_EQ(env.ompx_apu_pressure, PressureMode::Watermarks);
 }
 
 TEST(RunEnvironment, ToStringRoundTripsFlags) {
@@ -415,11 +429,11 @@ TEST(RunEnvironment, ThpDynamicModeParsesAndKeepsHugePages) {
   EXPECT_EQ(env.thp, ThpMode::Dynamic);
   // Dynamic still starts on 2 MB mappings; the split machinery only
   // changes what happens under eviction and partial migration.
-  EXPECT_TRUE(env.transparent_huge_pages);
+  EXPECT_EQ(env.page_bytes(), 2ULL << 20);
   EXPECT_EQ(RunEnvironment::from_env({{"THP", "1"}}).thp, ThpMode::On);
   const RunEnvironment off = RunEnvironment::from_env({{"THP", "off"}});
   EXPECT_EQ(off.thp, ThpMode::Off);
-  EXPECT_FALSE(off.transparent_huge_pages);
+  EXPECT_EQ(off.page_bytes(), 4096u);
 }
 
 TEST(RunEnvironment, ToStringRendersPressureKnobsOnlyWhenSet) {

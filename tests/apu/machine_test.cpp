@@ -68,7 +68,7 @@ TEST(Machine, JitterPerturbsWhenConfigured) {
 
 TEST(Machine, EnvThpControlsPageSize) {
   RunEnvironment env;
-  env.transparent_huge_pages = false;
+  env.thp = ThpMode::Off;
   Machine m = Machine::mi300a(env);
   EXPECT_EQ(m.page_bytes(), 4096u);
 }

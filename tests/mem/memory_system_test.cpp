@@ -212,7 +212,7 @@ TEST(MemoryCapacityDiscrete, DiscretePoolChargesDeviceMemoryOnly) {
 
 TEST_F(MemorySystemTest, ThpOffMultipliesPageCounts) {
   apu::RunEnvironment env;
-  env.transparent_huge_pages = false;
+  env.thp = apu::ThpMode::Off;
   apu::Machine machine = apu::Machine::mi300a(env);
   MemorySystem mem{machine};
   Allocation& a = mem.os_alloc(2ULL << 20, "buf");  // 2 MB

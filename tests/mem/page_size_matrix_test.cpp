@@ -16,7 +16,8 @@ class PageSizeMatrix : public ::testing::TestWithParam<std::uint64_t> {
     cfg.kind = apu::MachineKind::ApuMi300a;
     // page_bytes is derived from THP in RunEnvironment; pick the closest
     // real setting and override capacity-independent checks by page count.
-    cfg.env.transparent_huge_pages = GetParam() == (2ULL << 20);
+    cfg.env.thp =
+        GetParam() == (2ULL << 20) ? apu::ThpMode::On : apu::ThpMode::Off;
     return apu::Machine{std::move(cfg)};
   }
 };

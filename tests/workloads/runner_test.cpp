@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "zc/core/host_array.hpp"
 
 namespace zc::workloads {
@@ -41,6 +43,21 @@ TEST(Runner, RunsAndCollectsTelemetry) {
 TEST(Runner, MissingSetupThrows) {
   Program p;
   EXPECT_THROW((void)run_program(p, {}), std::invalid_argument);
+}
+
+TEST(Runner, MalformedSpecRaisesTheEnvironmentVariablesError) {
+  // Every *_spec string goes through the environment parser: a malformed
+  // fault schedule fails exactly as OMPX_APU_FAULTS would, before any
+  // machine is built.
+  try {
+    (void)run_program(trivial_program(), {.fault_spec = "oom@call=0"});
+    FAIL() << "expected apu::EnvError";
+  } catch (const apu::EnvError& e) {
+    EXPECT_EQ(std::string{e.what()}.rfind("OMPX_APU_FAULTS: ", 0), 0u)
+        << e.what();
+  }
+  EXPECT_THROW((void)run_program(trivial_program(), {.thp_spec = "huge"}),
+               apu::EnvError);
 }
 
 TEST(Runner, JitterMakesRunsVaryAndSeedsReproduce) {
