@@ -4,7 +4,7 @@
 //
 //   qmcpack_nio [--size=N] [--threads=N] [--steps=N] [--config=NAME]
 //               [--ktrace=FILE]
-//   config names: copy | usm | zerocopy | eager
+//   config names: copy | usm | zerocopy (zc) | eager | adaptive
 //   --ktrace writes a LIBOMPTARGET_KERNEL_TRACE-style per-launch CSV
 
 #include <cstdio>
@@ -12,6 +12,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "zc/stats/table.hpp"
@@ -19,28 +20,6 @@
 
 using namespace zc;
 using omp::RuntimeConfig;
-
-namespace {
-
-RuntimeConfig parse_config(const std::string& name) {
-  if (name == "copy") {
-    return RuntimeConfig::LegacyCopy;
-  }
-  if (name == "usm") {
-    return RuntimeConfig::UnifiedSharedMemory;
-  }
-  if (name == "zerocopy" || name == "zc") {
-    return RuntimeConfig::ImplicitZeroCopy;
-  }
-  if (name == "eager") {
-    return RuntimeConfig::EagerMaps;
-  }
-  std::cerr << "unknown config '" << name
-            << "' (expected copy|usm|zerocopy|eager)\n";
-  std::exit(2);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   workloads::QmcpackParams params;
@@ -57,10 +36,17 @@ int main(int argc, char** argv) {
     } else if (a.rfind("--steps=", 0) == 0) {
       params.steps = std::atoi(a.c_str() + 8);
     } else if (a.rfind("--config=", 0) == 0) {
-      config = parse_config(a.substr(9));
+      const std::optional<RuntimeConfig> named =
+          omp::parse_config_name(a.substr(9));
+      if (!named) {
+        std::cerr << "unknown config '" << a.substr(9) << "'\n";
+        return 2;
+      }
+      config = *named;
     } else {
       std::cerr << "usage: qmcpack_nio [--size=N] [--threads=N] [--steps=N] "
-                   "[--config=copy|usm|zerocopy|eager] [--ktrace=FILE]\n";
+                   "[--config=copy|usm|zerocopy|zc|eager|adaptive] "
+                   "[--ktrace=FILE]\n";
       return 2;
     }
   }

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "zc/trace/overhead_ledger.hpp"
@@ -15,24 +16,6 @@ using namespace zc;
 using omp::RuntimeConfig;
 
 namespace {
-
-RuntimeConfig parse_config(const std::string& name) {
-  if (name == "copy") {
-    return RuntimeConfig::LegacyCopy;
-  }
-  if (name == "usm") {
-    return RuntimeConfig::UnifiedSharedMemory;
-  }
-  if (name == "zerocopy" || name == "zc") {
-    return RuntimeConfig::ImplicitZeroCopy;
-  }
-  if (name == "eager") {
-    return RuntimeConfig::EagerMaps;
-  }
-  std::cerr << "unknown config '" << name
-            << "' (expected copy|usm|zerocopy|eager)\n";
-  std::exit(2);
-}
 
 workloads::Program make_benchmark(const std::string& name, bool quick) {
   if (name == "stencil") {
@@ -91,12 +74,18 @@ int main(int argc, char** argv) {
     if (a.rfind("--bench=", 0) == 0) {
       bench = a.substr(8);
     } else if (a.rfind("--config=", 0) == 0) {
-      config = parse_config(a.substr(9));
+      const std::optional<RuntimeConfig> named =
+          omp::parse_config_name(a.substr(9));
+      if (!named) {
+        std::cerr << "unknown config '" << a.substr(9) << "'\n";
+        return 2;
+      }
+      config = *named;
     } else if (a == "--quick") {
       quick = true;
     } else {
       std::cerr << "usage: specaccel [--bench=stencil|lbm|ep|spC|bt] "
-                   "[--config=copy|usm|zerocopy|eager] [--quick]\n";
+                   "[--config=copy|usm|zerocopy|zc|eager|adaptive] [--quick]\n";
       return 2;
     }
   }

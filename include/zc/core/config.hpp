@@ -1,7 +1,9 @@
 #pragma once
 
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "zc/apu/env.hpp"
 #include "zc/apu/params.hpp"
@@ -51,6 +53,28 @@ enum class RuntimeConfig {
       return "Adaptive Maps";
   }
   return "?";
+}
+
+/// The configuration a command-line name selects: `copy`, `usm`,
+/// `zerocopy` (or `zc`), `eager` or `adaptive`; nullopt for any other name.
+[[nodiscard]] constexpr std::optional<RuntimeConfig> parse_config_name(
+    std::string_view name) {
+  if (name == "copy") {
+    return RuntimeConfig::LegacyCopy;
+  }
+  if (name == "usm") {
+    return RuntimeConfig::UnifiedSharedMemory;
+  }
+  if (name == "zerocopy" || name == "zc") {
+    return RuntimeConfig::ImplicitZeroCopy;
+  }
+  if (name == "eager") {
+    return RuntimeConfig::EagerMaps;
+  }
+  if (name == "adaptive") {
+    return RuntimeConfig::AdaptiveMaps;
+  }
+  return std::nullopt;
 }
 
 /// True for the configurations that can pass host pointers to kernels

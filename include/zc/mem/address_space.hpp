@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "zc/mem/address.hpp"
+#include "zc/mem/run_set.hpp"
 
 namespace zc::mem {
 
@@ -44,12 +45,7 @@ enum class Placement {
 }
 
 /// A byte range [lo, hi) relative to an allocation's base.
-struct Extent {
-  std::uint64_t lo = 0;
-  std::uint64_t hi = 0;
-
-  friend bool operator==(const Extent&, const Extent&) = default;
-};
+using Extent = RunSet::Run;
 
 /// Frees an allocation's backing block: `munmap` for a mapping, `delete[]`
 /// for a heap block.
@@ -151,35 +147,6 @@ class Allocation {
   [[nodiscard]] std::uint64_t remote_pages(AddrRange range, int socket,
                                            std::uint64_t page_bytes) const;
 
-  /// Residency summary, maintained by MemorySystem: how many pages of
-  /// this allocation socket `s`'s GPU cannot yet translate. Zero means
-  /// fully mapped, which answers any subrange absence query O(1) — the
-  /// steady state of every launch-loop buffer, including sliding-window
-  /// accesses whose subrange changes each step. GPU translations are only
-  /// removed when the allocation is freed or its pages migrate between
-  /// sockets — the latter resets the summary via `gpu_absent_reset`, so a
-  /// zero can never go stale. An uninitialized summary (empty vector)
-  /// means "unknown" and falls back to the exact page-table count.
-  [[nodiscard]] bool gpu_fully_mapped(int s) const {
-    return s >= 0 && static_cast<std::size_t>(s) < gpu_absent_.size() &&
-           gpu_absent_[static_cast<std::size_t>(s)] == 0;
-  }
-  /// First-use init: one counter per socket, all pages absent.
-  void gpu_absent_init(std::size_t sockets, std::uint64_t pages) {
-    if (gpu_absent_.empty()) {
-      gpu_absent_.assign(sockets, pages);
-    }
-  }
-  /// `n` pages of this allocation became GPU-mapped on socket `s`.
-  void gpu_absent_sub(int s, std::uint64_t n) {
-    if (s >= 0 && static_cast<std::size_t>(s) < gpu_absent_.size()) {
-      std::uint64_t& a = gpu_absent_[static_cast<std::size_t>(s)];
-      a -= n <= a ? n : a;
-    }
-  }
-  /// Back to "unknown" after a migration tore down GPU translations.
-  void gpu_absent_reset() { gpu_absent_.clear(); }
-
   /// Residency attribution, maintained by MemorySystem: how many of this
   /// allocation's materialized pages are charged to socket `s`'s HBM, and
   /// how many were spilled to the DDR tier by watermark eviction. Release
@@ -215,7 +182,9 @@ class Allocation {
 
   /// Extents that may hold non-zero data, sorted and coalesced (touching
   /// extents merge). Empty means the whole allocation reads as zero.
-  [[nodiscard]] const std::vector<Extent>& written() const { return written_; }
+  [[nodiscard]] const std::vector<Extent>& written() const {
+    return written_.runs();
+  }
 
   /// Real pointer to the `n` bytes at `a`, which must lie inside this
   /// allocation (std::out_of_range otherwise). Marks them written: the
@@ -235,7 +204,6 @@ class Allocation {
   friend class AddressSpace;  // `copy` reads and writes extents directly
 
   std::byte* backing();
-  void mark(std::uint64_t lo, std::uint64_t hi);
 
   VirtAddr base_;
   std::uint64_t bytes_;
@@ -245,12 +213,11 @@ class Allocation {
   Placement placement_ = Placement::FixedHome;
   int placement_sockets_ = 1;  ///< stripe width for Interleaved
   bool home_resolved_ = true;  ///< false while FirstTouch is pending
-  std::vector<std::uint64_t> gpu_absent_;  ///< per-socket absent pages
   std::map<std::uint64_t, int> home_overrides_;  ///< partial-migration homes
   std::vector<std::uint64_t> hbm_resident_;  ///< per-socket charged pages
   std::uint64_t ddr_resident_ = 0;           ///< pages spilled to DDR
   std::unique_ptr<std::byte, BackingFree> backing_;
-  std::vector<Extent> written_;
+  RunSet written_;  ///< byte offsets that may hold non-zero data
 };
 
 /// The single simulated virtual address space of a node.

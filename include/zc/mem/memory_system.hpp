@@ -2,12 +2,12 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "zc/apu/machine.hpp"
 #include "zc/mem/address_space.hpp"
 #include "zc/mem/page_table.hpp"
+#include "zc/mem/run_set.hpp"
 #include "zc/mem/tlb.hpp"
 
 namespace zc::mem {
@@ -116,15 +116,6 @@ class MemorySystem {
   [[nodiscard]] std::uint64_t gpu_absent_pages(AddrRange range,
                                                int socket = 0) const;
 
-  /// Same query with an allocation hint (the allocation containing
-  /// `range`, as returned by `space().find`). Answers O(1) once the whole
-  /// allocation is GPU-mapped — the steady state of every launch-loop
-  /// buffer — via the allocation's residency summary, which this call
-  /// also maintains. Exact: falls back to the page-table count whenever
-  /// the summary cannot prove full residency.
-  [[nodiscard]] std::uint64_t gpu_absent_pages(AddrRange range, int socket,
-                                               Allocation* hint) const;
-
   /// Pages of `range` the CPU has materialized (host first touch or bulk
   /// population). Pure state read — feeds the Adaptive Maps policy.
   [[nodiscard]] std::uint64_t cpu_resident_pages(AddrRange range) const;
@@ -232,10 +223,6 @@ class MemorySystem {
 
  private:
   void release(VirtAddr base, MemKind expected);
-  /// Debit the owning allocation's per-socket absent-page counter after
-  /// `mapped_pages` of `range` entered socket `socket`'s GPU page table.
-  void update_residency_summary(AddrRange range, int socket,
-                                std::uint64_t mapped_pages);
   /// Home socket of the allocation containing `a` (HBM attribution).
   [[nodiscard]] int home_of(VirtAddr a) const;
   void charge(int socket, std::uint64_t bytes);
@@ -283,8 +270,8 @@ class MemorySystem {
   std::vector<std::uint64_t> migrated_;  ///< pages migrated onto each socket
   std::uint64_t hbm_capacity_ = 0;
   std::uint64_t ddr_used_ = 0;       ///< bytes spilled to the DDR tier
-  std::set<std::uint64_t> ddr_pages_;     ///< spilled absolute page indices
-  std::set<std::uint64_t> split_spans_;   ///< 4 KB-fragmented huge spans
+  RunSet ddr_pages_;    ///< spilled absolute page indices
+  RunSet split_spans_;  ///< 4 KB-fragmented huge spans
   /// Per-page access-counter shadow: remote-touch streak and recency.
   struct Heat {
     int socket = 0;            ///< the remote socket doing the touching

@@ -1,10 +1,10 @@
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <unordered_set>
+#include <stdexcept>
 
 #include "zc/mem/address.hpp"
+#include "zc/mem/run_set.hpp"
 
 namespace zc::mem {
 
@@ -13,10 +13,18 @@ namespace zc::mem {
 /// Used for both the CPU page table (which pages of an OS allocation have
 /// been materialized) and the GPU page table (which pages the GPU can
 /// translate without an XNACK fault). Only presence matters to the paper's
-/// protocols; permissions and physical frames are out of scope.
+/// protocols; permissions and physical frames are out of scope. The pages
+/// are one `RunSet`, so every query and mutation costs O(log runs + runs
+/// touched) however many pages the range spans; this class only rounds
+/// byte ranges outward to pages.
 class PageTable {
  public:
-  explicit PageTable(std::uint64_t page_bytes);
+  explicit PageTable(std::uint64_t page_bytes) : page_bytes_{page_bytes} {
+    if (page_bytes_ == 0 || (page_bytes_ & (page_bytes_ - 1)) != 0) {
+      throw std::invalid_argument(
+          "PageTable: page size must be a power of two");
+    }
+  }
 
   [[nodiscard]] std::uint64_t page_bytes() const { return page_bytes_; }
 
@@ -33,83 +41,50 @@ class PageTable {
   }
 
   /// Insert every page of the range; returns how many were new.
-  std::uint64_t insert_range(AddrRange range);
+  std::uint64_t insert_range(AddrRange range) {
+    return insert_pages(range.first_page(page_bytes_),
+                        range.end_page(page_bytes_));
+  }
 
   /// Remove every page of the range; returns how many were present.
-  std::uint64_t remove_range(AddrRange range);
+  std::uint64_t remove_range(AddrRange range) {
+    return pages_.erase(range.first_page(page_bytes_),
+                        range.end_page(page_bytes_));
+  }
 
   /// How many pages of the range are absent.
-  [[nodiscard]] std::uint64_t count_absent(AddrRange range) const;
+  [[nodiscard]] std::uint64_t count_absent(AddrRange range) const {
+    return range.page_count(page_bytes_) - count_present(range);
+  }
 
   /// How many pages of the range are present.
   [[nodiscard]] std::uint64_t count_present(AddrRange range) const {
-    return range.page_count(page_bytes_) - count_absent(range);
+    return pages_.count(range.first_page(page_bytes_),
+                        range.end_page(page_bytes_));
   }
 
   /// Insert pages [first, end); returns how many were new.
-  std::uint64_t insert_pages(std::uint64_t first, std::uint64_t end);
+  std::uint64_t insert_pages(std::uint64_t first, std::uint64_t end) {
+    return pages_.insert(first, end);
+  }
 
   /// Call `f(a, b)` for each maximal run of *absent* pages within
   /// [first, end), in ascending order. `f` must not mutate this table.
   template <typename F>
   void for_each_absent_run(std::uint64_t first, std::uint64_t end,
                            F&& f) const {
-    std::uint64_t run_start = 0;
-    bool in_run = false;
-    for (std::uint64_t p = first; p < end; ++p) {
-      if (!pages_.contains(p)) {
-        if (!in_run) {
-          run_start = p;
-          in_run = true;
-        }
-      } else if (in_run) {
-        f(run_start, p);
-        in_run = false;
-      }
-    }
-    if (in_run) {
-      f(run_start, end);
-    }
+    pages_.for_each_gap(first, end, f);
   }
+
+  /// The present pages.
+  [[nodiscard]] const RunSet& pages() const { return pages_; }
 
   [[nodiscard]] std::uint64_t size() const { return pages_.size(); }
-  void clear() {
-    pages_.clear();
-    qcache_used_ = 0;
-  }
+  void clear() { pages_.clear(); }
 
  private:
-  /// Memoized `count_absent` answers. A kernel launch queries the same
-  /// handful of buffer ranges on every dispatch while mutations touch
-  /// *other* ranges (fresh scratch faulting in, freed scratch unmapping),
-  /// so invalidating only the cached entries that overlap a mutation
-  /// keeps the steady-state buffers answered in O(1) — exactly, since a
-  /// disjoint mutation cannot change a range's absent count.
-  struct CachedQuery {
-    std::uint64_t first;
-    std::uint64_t end;
-    std::uint64_t absent;
-  };
-  static constexpr std::uint32_t kQueryCacheSlots = 16;
-
-  void invalidate_queries(std::uint64_t first, std::uint64_t end) {
-    for (std::uint32_t i = 0; i < qcache_used_;) {
-      if (qcache_[i].first < end && first < qcache_[i].end) {
-        qcache_[i] = qcache_[--qcache_used_];  // swap-remove
-      } else {
-        ++i;
-      }
-    }
-  }
-
-  [[nodiscard]] std::uint64_t count_absent_pages(std::uint64_t first,
-                                                 std::uint64_t end) const;
-
   std::uint64_t page_bytes_;
-  std::unordered_set<std::uint64_t> pages_;
-  mutable std::array<CachedQuery, kQueryCacheSlots> qcache_{};
-  mutable std::uint32_t qcache_used_ = 0;
-  mutable std::uint32_t qcache_next_ = 0;  ///< ring replacement cursor
+  RunSet pages_;
 };
 
 }  // namespace zc::mem

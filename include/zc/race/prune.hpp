@@ -1,10 +1,10 @@
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "zc/mem/address.hpp"
+#include "zc/mem/run_set.hpp"
 
 namespace zc::race {
 
@@ -39,131 +39,33 @@ class PruneFilter {
       std::uint64_t page_bytes) {
     PruneFilter f;
     for (const mem::AddrRange& r : safe) {
-      if (r.bytes != 0) {
-        f.add(r.base.value / page_bytes,
-              (r.base.value + r.bytes - 1) / page_bytes + 1);
-      }
+      f.pages_.insert(r.first_page(page_bytes), r.end_page(page_bytes));
     }
-    f.normalize();
     for (const mem::AddrRange& r : must_check) {
-      if (r.bytes != 0) {
-        f.subtract(r.base.value / page_bytes,
-                   (r.base.value + r.bytes - 1) / page_bytes + 1);
-      }
+      f.pages_.erase(r.first_page(page_bytes), r.end_page(page_bytes));
     }
     return f;
   }
 
-  [[nodiscard]] bool empty() const { return spans_.empty(); }
-  [[nodiscard]] std::uint64_t page_count() const {
-    std::uint64_t n = 0;
-    for (const Span& s : spans_) {
-      n += s.end - s.first;
-    }
-    return n;
-  }
+  [[nodiscard]] bool empty() const { return pages_.empty(); }
+  [[nodiscard]] std::uint64_t page_count() const { return pages_.size(); }
 
   /// Whether every page of [first, end) is proven safe. The detector calls
   /// this once per access before falling back to the per-page walk: a
-  /// proven-safe buffer's whole page span lies inside one span here, so a
-  /// multi-thousand-page access prunes in a single (memoized) lookup.
+  /// proven-safe buffer's whole page span lies inside one run here, so a
+  /// multi-thousand-page access prunes in a single lookup.
   [[nodiscard]] bool covers_range(std::uint64_t first,
                                   std::uint64_t end) const {
-    if (first >= end) {
-      return true;
-    }
-    if (last_ < spans_.size()) {
-      const Span& s = spans_[last_];
-      if (first >= s.first && end <= s.end) {
-        return true;
-      }
-    }
-    auto it = std::upper_bound(spans_.begin(), spans_.end(), first,
-                               [](std::uint64_t p, const Span& s) {
-                                 return p < s.first;
-                               });
-    if (it == spans_.begin()) {
-      return false;
-    }
-    --it;
-    if (first >= it->first && end <= it->end) {
-      last_ = static_cast<std::size_t>(it - spans_.begin());
-      return true;
-    }
-    return false;
+    return pages_.covers(first, end);
   }
 
-  /// Whether `page` is proven safe (skip its shadow-state stamp). Queries
-  /// arrive as consecutive pages of one buffer, so the last-hit span
-  /// answers nearly every call without the binary search.
+  /// Whether `page` is proven safe (skip its shadow-state stamp).
   [[nodiscard]] bool covers(std::uint64_t page) const {
-    if (last_ < spans_.size()) {
-      const Span& s = spans_[last_];
-      if (page >= s.first && page < s.end) {
-        return true;
-      }
-    }
-    auto it = std::upper_bound(spans_.begin(), spans_.end(), page,
-                               [](std::uint64_t p, const Span& s) {
-                                 return p < s.first;
-                               });
-    if (it == spans_.begin()) {
-      return false;
-    }
-    --it;
-    if (page < it->end) {
-      last_ = static_cast<std::size_t>(it - spans_.begin());
-      return true;
-    }
-    return false;
+    return pages_.contains(page);
   }
 
  private:
-  struct Span {
-    std::uint64_t first = 0;
-    std::uint64_t end = 0;  ///< one past the last covered page
-  };
-
-  void add(std::uint64_t first, std::uint64_t end) {
-    spans_.push_back(Span{first, end});
-  }
-
-  /// Remove [first, end) from the (sorted, disjoint) span set.
-  void subtract(std::uint64_t first, std::uint64_t end) {
-    std::vector<Span> out;
-    out.reserve(spans_.size() + 1);
-    for (const Span& s : spans_) {
-      if (s.end <= first || s.first >= end) {
-        out.push_back(s);
-        continue;
-      }
-      if (s.first < first) {
-        out.push_back(Span{s.first, first});
-      }
-      if (s.end > end) {
-        out.push_back(Span{end, s.end});
-      }
-    }
-    spans_ = std::move(out);
-    last_ = SIZE_MAX;
-  }
-
-  void normalize() {
-    std::sort(spans_.begin(), spans_.end(),
-              [](const Span& a, const Span& b) { return a.first < b.first; });
-    std::vector<Span> merged;
-    for (const Span& s : spans_) {
-      if (!merged.empty() && s.first <= merged.back().end) {
-        merged.back().end = std::max(merged.back().end, s.end);
-      } else {
-        merged.push_back(s);
-      }
-    }
-    spans_ = std::move(merged);
-  }
-
-  std::vector<Span> spans_;  ///< sorted, disjoint
-  mutable std::size_t last_ = SIZE_MAX;  ///< index of the last span hit
+  mem::RunSet pages_;  ///< proven-safe page indices
 };
 
 }  // namespace zc::race

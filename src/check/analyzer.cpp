@@ -8,87 +8,13 @@
 #include <unordered_map>
 #include <vector>
 
+#include "zc/mem/run_set.hpp"
+
 namespace zc::check {
 namespace {
 
-// ---------------------------------------------------------------------------
-// Interval-set helpers. A `Ranges` is kept sorted by base, disjoint, and
-// merged; all the abstract state below (ever-mapped unions, device-dirty and
-// host-dirty sets) is expressed in these terms.
-// ---------------------------------------------------------------------------
-
-using Ranges = std::vector<mem::AddrRange>;
-
 [[nodiscard]] std::uint64_t end_of(mem::AddrRange r) {
   return r.base.value + r.bytes;
-}
-
-void add_range(Ranges& set, mem::AddrRange r) {
-  if (r.bytes == 0) {
-    return;
-  }
-  std::uint64_t lo = r.base.value;
-  std::uint64_t hi = end_of(r);
-  Ranges out;
-  out.reserve(set.size() + 1);
-  for (const mem::AddrRange& e : set) {
-    if (end_of(e) < lo || e.base.value > hi) {
-      out.push_back(e);  // fully outside (adjacency merges)
-    } else {
-      lo = std::min(lo, e.base.value);
-      hi = std::max(hi, end_of(e));
-    }
-  }
-  out.push_back(mem::AddrRange{mem::VirtAddr{lo}, hi - lo});
-  std::sort(out.begin(), out.end(),
-            [](const mem::AddrRange& a, const mem::AddrRange& b) {
-              return a.base.value < b.base.value;
-            });
-  set = std::move(out);
-}
-
-void sub_range(Ranges& set, mem::AddrRange r) {
-  if (r.bytes == 0) {
-    return;
-  }
-  const std::uint64_t lo = r.base.value;
-  const std::uint64_t hi = end_of(r);
-  Ranges out;
-  out.reserve(set.size() + 1);
-  for (const mem::AddrRange& e : set) {
-    if (end_of(e) <= lo || e.base.value >= hi) {
-      out.push_back(e);
-      continue;
-    }
-    if (e.base.value < lo) {
-      out.push_back(mem::AddrRange{e.base, lo - e.base.value});
-    }
-    if (end_of(e) > hi) {
-      out.push_back(mem::AddrRange{mem::VirtAddr{hi}, end_of(e) - hi});
-    }
-  }
-  set = std::move(out);
-}
-
-[[nodiscard]] bool covers(const Ranges& set, mem::AddrRange r) {
-  if (r.bytes == 0) {
-    return true;
-  }
-  for (const mem::AddrRange& e : set) {
-    if (mem::range_covers(e, r)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-[[nodiscard]] bool overlaps(const Ranges& set, mem::AddrRange r) {
-  for (const mem::AddrRange& e : set) {
-    if (mem::ranges_overlap(e, r)) {
-      return true;
-    }
-  }
-  return false;
 }
 
 // ---------------------------------------------------------------------------
@@ -219,8 +145,8 @@ struct TierB {
   std::vector<CheckFinding>& out;
 
   std::map<int, std::vector<AbsEntry>> tables;  ///< per-device entries
-  Ranges device_dirty;  ///< kernel-written, not yet copied back
-  Ranges host_dirty;    ///< host-written while a to/tofrom entry was live
+  mem::RunSet device_dirty;  ///< kernel-written, not yet copied back
+  mem::RunSet host_dirty;    ///< host-written while a to/tofrom entry was live
 
   void emit(CheckKind kind, const std::string& thread, const IrOp& op,
             mem::AddrRange range, std::string message) {
@@ -246,11 +172,11 @@ struct TierB {
     if (it == tables.end()) {
       return false;
     }
-    Ranges u;
+    mem::RunSet u;
     for (const AbsEntry& e : it->second) {
-      add_range(u, e.range);
+      u.insert(e.range.base.value, end_of(e.range));
     }
-    return covers(u, r);
+    return u.covers(r.base.value, end_of(r));
   }
 
   [[nodiscard]] bool present_elsewhere(int device, mem::AddrRange r) const {
@@ -258,11 +184,11 @@ struct TierB {
       if (d == device) {
         continue;
       }
-      Ranges u;
+      mem::RunSet u;
       for (const AbsEntry& e : entries) {
-        add_range(u, e.range);
+        u.insert(e.range.base.value, end_of(e.range));
       }
-      if (covers(u, r)) {
+      if (u.covers(r.base.value, end_of(r))) {
         return true;
       }
     }
@@ -304,14 +230,15 @@ struct TierB {
       // A non-`always` re-map of present data transfers nothing; only
       // `always to/tofrom` re-publishes host writes.
       if (m.always && omp::copies_to_device(m.type)) {
-        sub_range(host_dirty, m.range);
+        host_dirty.erase(m.range.base.value, end_of(m.range));
       }
       return;
     }
     entries.push_back(AbsEntry{m.range, 1, omp::copies_to_device(m.type),
                                omp::copies_to_host(m.type)});
     if (omp::copies_to_device(m.type)) {
-      sub_range(host_dirty, m.range);  // fresh h2d transfer on first insert
+      // The first insert's h2d transfer publishes every host write.
+      host_dirty.erase(m.range.base.value, end_of(m.range));
     }
   }
 
@@ -342,7 +269,8 @@ struct TierB {
         return;  // delete discards all outstanding references at once
       }
       if (omp::copies_to_host(m.type) && (m.always || e.refcount == 1)) {
-        sub_range(device_dirty, m.range);  // d2h copy-back materialises
+        // The d2h copy-back materialises the kernel's writes.
+        device_dirty.erase(m.range.base.value, end_of(m.range));
       }
       if (--e.refcount == 0) {
         entries.erase(entries.begin() + static_cast<std::ptrdiff_t>(i));
@@ -371,23 +299,25 @@ struct TierB {
                "kernel '" + op.name + "' uses data never made present");
         }
       }
-      if (u.access != hsa::Access::Write && overlaps(host_dirty, u.range)) {
+      if (u.access != hsa::Access::Write &&
+          host_dirty.overlaps(u.range.base.value, end_of(u.range))) {
         emit(CheckKind::ConfigDivergence, thread, op, u.range,
              "kernel '" + op.name +
                  "' reads host bytes written after the to-transfer; correct "
                  "only under coherent zero-copy (config " +
                  std::string{omp::to_string(config)} + " diverges)");
-        sub_range(host_dirty, u.range);  // one finding per divergent write
+        // One finding per divergent write.
+        host_dirty.erase(u.range.base.value, end_of(u.range));
       }
       if (u.access != hsa::Access::Read) {
-        add_range(device_dirty, u.range);
+        device_dirty.insert(u.range.base.value, end_of(u.range));
       }
     }
     // `from`/`tofrom` clauses declare the kernel produces the range; the
     // copy-back at region exit (or its absence) decides staleness.
     for (const IrMap& m : op.maps) {
       if (ir.find(m.range.base) == &buf && omp::copies_to_host(m.type)) {
-        add_range(device_dirty, m.range);
+        device_dirty.insert(m.range.base.value, end_of(m.range));
       }
     }
   }
@@ -408,20 +338,21 @@ struct TierB {
                   std::max(e.range.base.value, op.range.base.value);
               const std::uint64_t hi =
                   std::min(end_of(e.range), end_of(op.range));
-              add_range(host_dirty,
-                        mem::AddrRange{mem::VirtAddr{lo}, hi - lo});
+              host_dirty.insert(lo, hi);
             }
           }
         }
         return;
       }
       case OpKind::HostRead: {
-        if (mine(op.range) && overlaps(device_dirty, op.range)) {
+        if (mine(op.range) &&
+            device_dirty.overlaps(op.range.base.value, end_of(op.range))) {
           emit(CheckKind::StaleHostRead, thread, op, op.range,
                "host reads kernel-written bytes never copied back (no "
                "'target update from'); stale under " +
                    std::string{omp::to_string(config)} + "-style copying");
-          sub_range(device_dirty, op.range);  // one finding per stale write
+          // One finding per stale write.
+          device_dirty.erase(op.range.base.value, end_of(op.range));
         }
         return;
       }
@@ -469,11 +400,9 @@ struct TierB {
                  "'target update' of a range with no live mapping");
             continue;
           }
-          if (op.kind == OpKind::UpdateTo) {
-            sub_range(host_dirty, m.range);
-          } else {
-            sub_range(device_dirty, m.range);
-          }
+          mem::RunSet& clean =
+              op.kind == OpKind::UpdateTo ? host_dirty : device_dirty;
+          clean.erase(m.range.base.value, end_of(m.range));
         }
         return;
       case OpKind::Kernel:
@@ -515,7 +444,7 @@ struct TierB {
 
 void tier_a(const OffloadIR& ir, const IrBuffer& buf,
             std::vector<CheckFinding>& out) {
-  std::map<int, Ranges> ever_mapped;
+  std::map<int, mem::RunSet> ever_mapped;
   std::uint64_t enters = 0;
   std::uint64_t exits = 0;
   bool first_exit = false;
@@ -537,7 +466,7 @@ void tier_a(const OffloadIR& ir, const IrBuffer& buf,
           continue;
         }
         if (entering && !omp::exit_only(m.type)) {
-          add_range(ever_mapped[op.device], m.range);
+          ever_mapped[op.device].insert(m.range.base.value, end_of(m.range));
           if (op.kind != OpKind::Kernel) {
             ++enters;  // kernel-scope clauses are begin/end balanced
           }
@@ -568,12 +497,14 @@ void tier_a(const OffloadIR& ir, const IrBuffer& buf,
             continue;
           }
           auto it = ever_mapped.find(op.device);
-          if (it != ever_mapped.end() && covers(it->second, u.range)) {
+          const std::uint64_t lo = u.range.base.value;
+          const std::uint64_t hi = end_of(u.range);
+          if (it != ever_mapped.end() && it->second.covers(lo, hi)) {
             continue;
           }
           bool elsewhere = false;
           for (const auto& [d, ranges] : ever_mapped) {
-            if (d != op.device && covers(ranges, u.range)) {
+            if (d != op.device && ranges.covers(lo, hi)) {
               elsewhere = true;
               break;
             }

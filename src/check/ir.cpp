@@ -22,13 +22,22 @@ const IrBuffer* OffloadIR::find(mem::VirtAddr addr) const {
 
 std::string OffloadIR::describe(mem::AddrRange range) const {
   const IrBuffer* buf = find(range.base);
+  // Appended piece by piece: GCC 12 flags `"literal" + std::to_string(n)`
+  // with a false-positive -Wrestrict.
   if (buf == nullptr) {
-    return "<unknown:" + std::to_string(range.bytes) + "B>";
+    std::string out = "<unknown:";
+    out += std::to_string(range.bytes);
+    out += "B>";
+    return out;
   }
   const std::uint64_t off = range.base.value - buf->range.base.value;
   std::string out = buf->label;
   if (off != 0 || range.bytes != buf->range.bytes) {
-    out += "+" + std::to_string(off) + ":" + std::to_string(range.bytes) + "B";
+    out += '+';
+    out += std::to_string(off);
+    out += ':';
+    out += std::to_string(range.bytes);
+    out += 'B';
   }
   return out;
 }

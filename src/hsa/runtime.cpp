@@ -711,7 +711,7 @@ Signal Runtime::dispatch_kernel(const KernelLaunch& launch, int host_thread,
       }
     }
     const std::uint64_t absent =
-        mem_.gpu_absent_pages(b.range(), launch.device, a);
+        mem_.gpu_absent_pages(b.range(), launch.device);
     if (absent == 0) {
       continue;
     }

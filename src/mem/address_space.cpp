@@ -3,7 +3,6 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <new>
@@ -19,14 +18,6 @@ namespace {
 std::uint64_t host_page_bytes() {
   static const auto bytes = static_cast<std::uint64_t>(sysconf(_SC_PAGESIZE));
   return bytes;
-}
-
-/// `e` clipped to [origin, origin + bytes), relative to `origin`; empty
-/// (lo == hi) when they do not overlap.
-Extent clip(const Extent& e, std::uint64_t origin, std::uint64_t bytes) {
-  const std::uint64_t lo = std::max(e.lo, origin);
-  const std::uint64_t hi = std::min(e.hi, origin + bytes);
-  return lo < hi ? Extent{lo - origin, hi - origin} : Extent{};
 }
 
 }  // namespace
@@ -64,28 +55,6 @@ std::byte* Allocation::backing() {
     }
   }
   return backing_.get();
-}
-
-void Allocation::mark(std::uint64_t lo, std::uint64_t hi) {
-  if (lo >= hi) {
-    return;
-  }
-  // The first extent ending at or after `lo` is the first one [lo, hi)
-  // can overlap or touch; extents are disjoint, so their ends are sorted.
-  auto it = std::lower_bound(
-      written_.begin(), written_.end(), lo,
-      [](const Extent& e, std::uint64_t v) { return e.hi < v; });
-  if (it == written_.end() || it->lo > hi) {
-    written_.insert(it, Extent{lo, hi});
-    return;
-  }
-  auto last = it;
-  while (std::next(last) != written_.end() && std::next(last)->lo <= hi) {
-    ++last;
-  }
-  it->lo = std::min(it->lo, lo);
-  it->hi = std::max(hi, last->hi);
-  written_.erase(std::next(it), std::next(last));
 }
 
 std::uint64_t Allocation::remote_pages(AddrRange range, int socket,
@@ -149,7 +118,7 @@ std::byte* Allocation::translate(VirtAddr a, std::uint64_t n) {
   }
   const std::uint64_t off = a - base_;
   std::byte* const p = backing() + off;
-  mark(off, off + n);
+  written_.insert(off, off + n);
   return p;
 }
 
@@ -262,11 +231,10 @@ void AddressSpace::copy(VirtAddr dst, VirtAddr src, std::uint64_t bytes) {
 
   // The source's written bytes in range, as offsets into the range.
   std::vector<Extent> pieces;
-  for (const Extent& e : from.written_) {
-    if (const Extent p = clip(e, s0, bytes); p.lo < p.hi) {
-      pieces.push_back(p);
-    }
-  }
+  from.written_.for_each_run(s0, s0 + bytes,
+                             [&](std::uint64_t lo, std::uint64_t hi) {
+                               pieces.push_back(Extent{lo - s0, hi - s0});
+                             });
   const std::byte* const in =
       pieces.empty() ? nullptr : from.backing_.get() + s0;
   // Within one allocation, stage the source first: clearing the
@@ -278,11 +246,10 @@ void AddressSpace::copy(VirtAddr dst, VirtAddr src, std::uint64_t bytes) {
     }
   }
   // Destination bytes the source has not written must read as zero.
-  for (const Extent& e : to.written_) {
-    if (const Extent z = clip(e, d0, bytes); z.lo < z.hi) {
-      std::memset(to.backing_.get() + d0 + z.lo, 0, z.hi - z.lo);
-    }
-  }
+  to.written_.for_each_run(d0, d0 + bytes,
+                           [&](std::uint64_t lo, std::uint64_t hi) {
+                             std::memset(to.backing_.get() + lo, 0, hi - lo);
+                           });
   if (pieces.empty()) {
     return;
   }
@@ -293,7 +260,7 @@ void AddressSpace::copy(VirtAddr dst, VirtAddr src, std::uint64_t bytes) {
         staged.empty() ? in + p.lo : staged.data() + at;
     std::memcpy(out + p.lo, piece, p.hi - p.lo);
     at += p.hi - p.lo;
-    to.mark(d0 + p.lo, d0 + p.hi);
+    to.written_.insert(d0 + p.lo, d0 + p.hi);
   }
 }
 

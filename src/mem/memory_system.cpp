@@ -1,7 +1,6 @@
 #include "zc/mem/memory_system.hpp"
 
 #include <algorithm>
-#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -196,8 +195,6 @@ Allocation* MemorySystem::try_pool_alloc(std::uint64_t bytes, std::string name,
   // well, because the driver fulfilled the request from shared storage.
   gpu_pt(socket).insert_range(a.range());
   std::uint64_t created_pages = a.range().page_count(space_.page_bytes());
-  a.gpu_absent_init(gpu_pt_.size(), created_pages);
-  a.gpu_absent_sub(socket, created_pages);
   if (machine_.is_apu()) {
     created_pages = cpu_pt_.insert_range(a.range());
   }
@@ -253,9 +250,8 @@ void MemorySystem::release(VirtAddr base, MemKind expected) {
   const std::uint64_t pb = page_bytes();
   const std::uint64_t first = range.first_page(pb);
   const std::uint64_t end = range.end_page(pb);
-  ddr_pages_.erase(ddr_pages_.lower_bound(first), ddr_pages_.lower_bound(end));
-  split_spans_.erase(split_spans_.lower_bound(first),
-                     split_spans_.lower_bound(end));
+  ddr_pages_.erase(first, end);
+  split_spans_.erase(first, end);
   heat_.erase(heat_.lower_bound(first), heat_.lower_bound(end));
   cpu_pt_.remove_range(range);
   for (std::size_t s = 0; s < gpu_pt_.size(); ++s) {
@@ -336,17 +332,6 @@ std::uint64_t MemorySystem::gpu_absent_pages(AddrRange range,
   return gpu_pt_.at(static_cast<std::size_t>(socket)).count_absent(range);
 }
 
-std::uint64_t MemorySystem::gpu_absent_pages(AddrRange range, int socket,
-                                             Allocation* hint) const {
-  // A fully-mapped summary answers any subrange O(1); GPU translations
-  // are only ever removed by release(), which frees the allocation
-  // itself, so a zero counter can never go stale.
-  if (hint != nullptr && hint->gpu_fully_mapped(socket)) {
-    return 0;
-  }
-  return gpu_pt_.at(static_cast<std::size_t>(socket)).count_absent(range);
-}
-
 std::uint64_t MemorySystem::cpu_resident_pages(AddrRange range) const {
   return cpu_pt_.count_present(range);
 }
@@ -368,19 +353,14 @@ FaultOutcome MemorySystem::gpu_fault_in(AddrRange range, int socket) {
   const bool track_pressure = !ddr_pages_.empty() || !split_spans_.empty();
   // Pages the GPU cannot yet translate fault; of those, pages the host
   // never materialized are additionally created (GPU-side first touch).
-  // Walking the absent *runs* gives the same counts as the page loop in
-  // O(runs), and only gpu-absent pages reach the host table — a page
-  // already GPU-mapped never re-touches host state.
+  // Only gpu-absent pages reach the host table — a page already GPU-mapped
+  // never re-touches host state.
   pt.for_each_absent_run(first, end, [&](std::uint64_t a, std::uint64_t b) {
     out.faulted += b - a;
     out.non_resident += cpu_pt_.insert_pages(a, b);
-    if (track_pressure) {
-      out.split_faulted += static_cast<std::uint64_t>(std::distance(
-          split_spans_.lower_bound(a), split_spans_.lower_bound(b)));
-    }
+    out.split_faulted += split_spans_.count(a, b);
   });
   pt.insert_pages(first, end);
-  update_residency_summary(range, socket, out.faulted);
   if (machine_.is_apu() && out.non_resident > 0) {
     charge_created(range.base, out.non_resident);
   }
@@ -397,37 +377,18 @@ FaultOutcome MemorySystem::gpu_fault_in(AddrRange range, int socket) {
 
 std::uint64_t MemorySystem::promote_range(Allocation& a, std::uint64_t first,
                                           std::uint64_t end) {
-  auto it = ddr_pages_.lower_bound(first);
-  if (it == ddr_pages_.end() || *it >= end) {
-    return 0;
-  }
   const std::uint64_t pb = page_bytes();
-  std::uint64_t promoted = 0;
-  while (it != ddr_pages_.end() && *it < end) {
-    const std::uint64_t p = *it;
-    it = ddr_pages_.erase(it);
-    charge_alloc(a, a.page_home(VirtAddr{p * pb}, pb), 1);
-    ++promoted;
+  // One charge per page: per-page homes decide where each one lands.
+  ddr_pages_.for_each_run(first, end, [&](std::uint64_t lo, std::uint64_t hi) {
+    for (std::uint64_t p = lo; p < hi; ++p) {
+      charge_alloc(a, a.page_home(VirtAddr{p * pb}, pb), 1);
+    }
+  });
+  const std::uint64_t promoted = ddr_pages_.erase(first, end);
+  if (promoted > 0) {
+    ddr_credit(a, promoted);
   }
-  ddr_credit(a, promoted);
   return promoted;
-}
-
-void MemorySystem::update_residency_summary(AddrRange range, int socket,
-                                            std::uint64_t mapped_pages) {
-  if (mapped_pages == 0) {
-    return;
-  }
-  Allocation* const a = space_.find(range.base);
-  const std::uint64_t pb = space_.page_bytes();
-  if (a == nullptr || range.first_page(pb) < a->range().first_page(pb) ||
-      range.end_page(pb) > a->range().end_page(pb)) {
-    // Range not wholly inside one allocation: skip the summary (it stays
-    // conservative — "still absent" only costs the exact fallback query).
-    return;
-  }
-  a->gpu_absent_init(gpu_pt_.size(), a->range().page_count(pb));
-  a->gpu_absent_sub(socket, mapped_pages);
 }
 
 PrefaultOutcome MemorySystem::prefault(AddrRange range, int socket) {
@@ -449,7 +410,6 @@ PrefaultOutcome MemorySystem::prefault(AddrRange range, int socket) {
     out.materialized += cpu_pt_.insert_pages(a, b);
   });
   pt.insert_pages(first, end);
-  update_residency_summary(range, socket, out.inserted);
   out.present = (end - first) - out.inserted;
   if (machine_.is_apu() && out.materialized > 0) {
     charge_created(range.base, out.materialized);
@@ -461,16 +421,11 @@ PrefaultOutcome MemorySystem::prefault(AddrRange range, int socket) {
       out.promoted = promote_range(*a, first, end);
       // A prefaulted span that is fully CPU-resident and back in the fast
       // tier re-homogenized: khugepaged collapses it to one 2 MB mapping.
+      // Every split span is CPU-resident (spans split only while resident,
+      // and release drops both together), and the promotion above left no
+      // DDR page in range, so every split span in range collapses.
       if (thp_dynamic()) {
-        auto it = split_spans_.lower_bound(first);
-        while (it != split_spans_.end() && *it < end) {
-          if (cpu_pt_.present(*it) && ddr_pages_.count(*it) == 0) {
-            it = split_spans_.erase(it);
-            ++out.collapsed;
-          } else {
-            ++it;
-          }
-        }
+        out.collapsed = split_spans_.erase(first, end);
       }
     }
   }
@@ -528,8 +483,7 @@ std::uint64_t MemorySystem::migrate_pages(AddrRange range, int to_socket) {
       if (a->ddr_resident() > 0) {
         ddr_credit(*a, a->ddr_resident());
       }
-      ddr_pages_.erase(ddr_pages_.lower_bound(whole_first),
-                       ddr_pages_.lower_bound(whole_end));
+      ddr_pages_.erase(whole_first, whole_end);
     }
     a->set_placement(Placement::FixedHome, 1);
     a->set_home_socket(to_socket);
@@ -538,8 +492,7 @@ std::uint64_t MemorySystem::migrate_pages(AddrRange range, int to_socket) {
       charge_alloc(*a, to_socket, resident);
     }
     // Remapped pages arrive as pristine huge mappings again.
-    split_spans_.erase(split_spans_.lower_bound(whole_first),
-                       split_spans_.lower_bound(whole_end));
+    split_spans_.erase(whole_first, whole_end);
     // Migration remaps physical pages: every socket's GPU translations of
     // the allocation are stale and torn down; accesses re-fault or
     // re-prefault against the new home.
@@ -547,7 +500,6 @@ std::uint64_t MemorySystem::migrate_pages(AddrRange range, int to_socket) {
       gpu_pt_[s].remove_range(whole);
       tlb_[s].invalidate_range(whole);
     }
-    a->gpu_absent_reset();
     migrated_.at(static_cast<std::size_t>(to_socket)) += resident;
     maybe_check_accounting();
     return resident;
@@ -565,7 +517,7 @@ std::uint64_t MemorySystem::migrate_pages(AddrRange range, int to_socket) {
     }
     rehomed_any = true;
     const int cur = a->page_home(addr, pb);
-    if (machine_.is_apu() && ddr_pages_.erase(p) > 0) {
+    if (machine_.is_apu() && ddr_pages_.erase(p, p + 1) > 0) {
       ddr_credit(*a, 1);
       charge_alloc(*a, to_socket, 1);
       ++moved;
@@ -580,7 +532,7 @@ std::uint64_t MemorySystem::migrate_pages(AddrRange range, int to_socket) {
     // Moving part of a huge-page neighborhood fragments it: the moved
     // span's PTEs are re-established at 4 KB until a collapse.
     if (split_moves && cpu_pt_.present(p)) {
-      split_spans_.insert(p);
+      split_spans_.insert(p, p + 1);
     }
   }
   if (!rehomed_any) {
@@ -596,7 +548,6 @@ std::uint64_t MemorySystem::migrate_pages(AddrRange range, int to_socket) {
     gpu_pt_[s].remove_range(covered);
     tlb_[s].invalidate_range(covered);
   }
-  a->gpu_absent_reset();
   migrated_.at(static_cast<std::size_t>(to_socket)) += moved;
   maybe_check_accounting();
   return moved;
@@ -607,23 +558,13 @@ TlbAccessResult MemorySystem::tlb_access(AddrRange range, int socket) {
 }
 
 std::uint64_t MemorySystem::ddr_pages(AddrRange range) const {
-  if (ddr_pages_.empty()) {
-    return 0;
-  }
   const std::uint64_t pb = page_bytes();
-  return static_cast<std::uint64_t>(
-      std::distance(ddr_pages_.lower_bound(range.first_page(pb)),
-                    ddr_pages_.lower_bound(range.end_page(pb))));
+  return ddr_pages_.count(range.first_page(pb), range.end_page(pb));
 }
 
 std::uint64_t MemorySystem::split_spans(AddrRange range) const {
-  if (split_spans_.empty()) {
-    return 0;
-  }
   const std::uint64_t pb = page_bytes();
-  return static_cast<std::uint64_t>(
-      std::distance(split_spans_.lower_bound(range.first_page(pb)),
-                    split_spans_.lower_bound(range.end_page(pb))));
+  return split_spans_.count(range.first_page(pb), range.end_page(pb));
 }
 
 std::uint64_t MemorySystem::thp_split_range(AddrRange range) {
@@ -631,14 +572,12 @@ std::uint64_t MemorySystem::thp_split_range(AddrRange range) {
     return 0;
   }
   const std::uint64_t pb = page_bytes();
-  const std::uint64_t first = range.first_page(pb);
-  const std::uint64_t end = range.end_page(pb);
   std::uint64_t split = 0;
-  for (std::uint64_t p = first; p < end; ++p) {
-    if (cpu_pt_.present(p) && split_spans_.insert(p).second) {
-      ++split;
-    }
-  }
+  cpu_pt_.pages().for_each_run(
+      range.first_page(pb), range.end_page(pb),
+      [&](std::uint64_t lo, std::uint64_t hi) {
+        split += split_spans_.insert(lo, hi);
+      });
   return split;
 }
 
@@ -672,7 +611,7 @@ ReclaimOutcome MemorySystem::reclaim(int socket, std::uint64_t target_bytes,
     const std::uint64_t end = a.range().end_page(pb);
     for (std::uint64_t p = first; p < end; ++p) {
       if (a.page_home(VirtAddr{p * pb}, pb) != socket ||
-          !cpu_pt_.present(p) || ddr_pages_.count(p) != 0) {
+          !cpu_pt_.present(p) || ddr_pages_.contains(p)) {
         continue;
       }
       std::uint64_t heat_key = 0;
@@ -705,15 +644,14 @@ ReclaimOutcome MemorySystem::reclaim(int socket, std::uint64_t target_bytes,
     // later GPU access promotes the page back.
     credit_page(a, socket);
     ddr_charge(a, 1);
-    ddr_pages_.insert(v.page);
+    ddr_pages_.insert(v.page, v.page + 1);
     const AddrRange pr{VirtAddr{v.page * pb}, pb};
     for (std::size_t s = 0; s < gpu_pt_.size(); ++s) {
       gpu_pt_[s].remove_range(pr);
       tlb_[s].invalidate_range(pr);
     }
-    a.gpu_absent_reset();
-    if (split_evictions && split_spans_.insert(v.page).second) {
-      ++out.split;
+    if (split_evictions) {
+      out.split += split_spans_.insert(v.page, v.page + 1);
     }
     ++out.evicted;
   }
@@ -738,7 +676,7 @@ MigrationCandidate MemorySystem::take_migration_candidate(int threshold) {
     Allocation* a = space_.find(VirtAddr{p * pb});
     if (a == nullptr || a->kind() != MemKind::HostOs ||
         a->page_home(VirtAddr{p * pb}, pb) == target ||
-        !cpu_pt_.present(p) || ddr_pages_.count(p) != 0) {
+        !cpu_pt_.present(p) || ddr_pages_.contains(p)) {
       continue;  // stale or already satisfied: keep scanning
     }
     out.page = p;

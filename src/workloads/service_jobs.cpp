@@ -58,7 +58,13 @@ Shape shape_of(const ServiceJobSpec& spec, std::uint64_t page_bytes) {
 }
 
 std::string job_tag(const ServiceJobSpec& spec) {
-  return "t" + std::to_string(spec.tenant) + "j" + std::to_string(spec.id);
+  // Appended piece by piece: GCC 12 flags `"t" + std::to_string(n)` with a
+  // false-positive -Wrestrict.
+  std::string tag = "t";
+  tag += std::to_string(spec.tenant);
+  tag += 'j';
+  tag += std::to_string(spec.id);
+  return tag;
 }
 
 /// Persistent arrays + kernel burst (map traffic only at the edges). The

@@ -133,5 +133,16 @@ TEST(ConfigNames, MatchPaperTerminology) {
   EXPECT_STREQ(to_string(RuntimeConfig::AdaptiveMaps), "Adaptive Maps");
 }
 
+TEST(ConfigNames, CommandLineNamesSelectEveryConfiguration) {
+  EXPECT_EQ(parse_config_name("copy"), RuntimeConfig::LegacyCopy);
+  EXPECT_EQ(parse_config_name("usm"), RuntimeConfig::UnifiedSharedMemory);
+  EXPECT_EQ(parse_config_name("zerocopy"), RuntimeConfig::ImplicitZeroCopy);
+  EXPECT_EQ(parse_config_name("zc"), RuntimeConfig::ImplicitZeroCopy);
+  EXPECT_EQ(parse_config_name("eager"), RuntimeConfig::EagerMaps);
+  EXPECT_EQ(parse_config_name("adaptive"), RuntimeConfig::AdaptiveMaps);
+  EXPECT_EQ(parse_config_name("Adaptive"), std::nullopt);
+  EXPECT_EQ(parse_config_name(""), std::nullopt);
+}
+
 }  // namespace
 }  // namespace zc::omp

@@ -141,6 +141,51 @@ TEST_F(HsaRuntimeTest, XnackDisabledOkAfterPrefault) {
   EXPECT_EQ(rt.kernel_trace().summary().total_page_faults, 0u);
 }
 
+/// A buffer that starts two pages into a prefaulted 4-page allocation and
+/// ends two pages into the next one: its guard page and the next
+/// allocation's head are still unmapped, whatever the first allocation's
+/// state.
+mem::AddrRange straddle_prefaulted(Runtime& rt, mem::MemorySystem& mem) {
+  const std::uint64_t page = mem.page_bytes();
+  mem::Allocation& a = mem.os_alloc(4 * page, "a");
+  mem::Allocation& b = mem.os_alloc(4 * page, "b");
+  (void)rt.svm_attributes_set_prefault(a.range());
+  const mem::VirtAddr lo = a.base() + 2 * page;
+  return mem::AddrRange{lo, (b.base() + 2 * page) - lo};
+}
+
+TEST_F(HsaRuntimeTest, BufferPastAPrefaultedAllocationFaultsEveryAbsentPage) {
+  std::uint64_t absent = 0;
+  run([&] {
+    const mem::AddrRange r = straddle_prefaulted(rt_, mem_);
+    absent = mem_.gpu_absent_pages(r, 0);
+    KernelLaunch k{.name = "straddle",
+                   .buffers = {{r.base, r.bytes, Access::Read}},
+                   .compute = 1_us,
+                   .body = {}};
+    rt_.run_kernel(k);
+  });
+  EXPECT_EQ(absent, 3u);
+  ASSERT_EQ(rt_.kernel_trace().records().size(), 1u);
+  EXPECT_EQ(rt_.kernel_trace().records()[0].page_faults, absent);
+}
+
+TEST_F(HsaRuntimeTest, XnackDisabledThrowsPastAPrefaultedAllocation) {
+  apu::RunEnvironment env;
+  env.hsa_xnack = false;
+  apu::Machine machine = apu::Machine::mi300a(env);
+  mem::MemorySystem mem{machine};
+  Runtime rt{machine, mem};
+  machine.sched().run_single([&] {
+    const mem::AddrRange r = straddle_prefaulted(rt, mem);
+    KernelLaunch k{.name = "straddle",
+                   .buffers = {{r.base, r.bytes, Access::Read}},
+                   .compute = 1_us,
+                   .body = {}};
+    EXPECT_THROW(rt.run_kernel(k), GpuMemoryFault);
+  });
+}
+
 TEST_F(HsaRuntimeTest, PrefaultFirstExpensiveThenCheap) {
   Duration first;
   Duration second;
