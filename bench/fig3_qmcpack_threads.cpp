@@ -26,10 +26,13 @@ int main(int argc, char** argv) {
   for (const int size : sizes) {
     stats::TextTable table{{"threads", "Implicit Z-C", "Unified Shared Memory",
                             "Eager Maps"}};
-    stats::AsciiChart chart{
-        "S" + std::to_string(size) +
-            ": ratio of Copy time to zero-copy time (higher = zero-copy wins)",
-        {"1", "2", "4", "8"}};
+    // Appended piece by piece: GCC 12 flags `"literal" + std::to_string(n)`
+    // with a false-positive -Wrestrict.
+    std::string title = "S";
+    title += std::to_string(size);
+    title +=
+        ": ratio of Copy time to zero-copy time (higher = zero-copy wins)";
+    stats::AsciiChart chart{title, {"1", "2", "4", "8"}};
     std::vector<double> zc_series;
     std::vector<double> usm_series;
     std::vector<double> eager_series;

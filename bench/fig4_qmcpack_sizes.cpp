@@ -35,9 +35,13 @@ int main(int argc, char** argv) {
     const double usm =
         sweep.ratio(size, threads, RuntimeConfig::UnifiedSharedMemory);
     const double eager = sweep.ratio(size, threads, RuntimeConfig::EagerMaps);
-    table.add_row({"S" + std::to_string(size), stats::TextTable::num(zc),
+    // Appended piece by piece: GCC 12 flags `"literal" + std::to_string(n)`
+    // with a false-positive -Wrestrict.
+    std::string label = "S";
+    label += std::to_string(size);
+    table.add_row({label, stats::TextTable::num(zc),
                    stats::TextTable::num(usm), stats::TextTable::num(eager)});
-    labels.push_back("S" + std::to_string(size));
+    labels.push_back(label);
     zc_series.push_back(zc);
     usm_series.push_back(usm);
     eager_series.push_back(eager);

@@ -36,6 +36,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "zc/service/service.hpp"
@@ -133,7 +134,11 @@ std::uint64_t sched_churn(int threads, int iters) {
   sim::Scheduler s;
   std::vector<sim::Mutex> locks(8);
   for (int t = 0; t < threads; ++t) {
-    s.spawn("w" + std::to_string(t), [&s, &locks, t, iters] {
+    // Appended piece by piece: GCC 12 flags `"literal" + std::to_string(n)`
+    // with a false-positive -Wrestrict.
+    std::string name = "w";
+    name += std::to_string(t);
+    s.spawn(std::move(name), [&s, &locks, t, iters] {
       for (int k = 0; k < iters; ++k) {
         s.advance(sim::Duration::nanoseconds(100 + (t * 7 + k) % 3));
         if (k % 4 == 0) {

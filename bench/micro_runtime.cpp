@@ -5,6 +5,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <utility>
+
 #include "zc/core/host_array.hpp"
 #include "zc/core/offload_stack.hpp"
 #include "zc/mem/memory_system.hpp"
@@ -126,7 +129,11 @@ void BM_Scheduler_AdvanceInterleaved(benchmark::State& state) {
   for (auto _ : state) {
     sim::Scheduler sched;
     for (int t = 0; t < 2; ++t) {
-      sched.spawn("t" + std::to_string(t), [&sched] {
+      // Appended piece by piece: GCC 12 flags `"literal" + std::to_string(n)`
+      // with a false-positive -Wrestrict.
+      std::string name = "t";
+      name += std::to_string(t);
+      sched.spawn(std::move(name), [&sched] {
         for (std::int64_t i = 0; i < per_run; ++i) {
           sched.advance(sim::Duration::microseconds(2));
         }

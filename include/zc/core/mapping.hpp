@@ -2,8 +2,10 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 
+#include "zc/hsa/signal.hpp"
 #include "zc/mem/address.hpp"
 
 namespace zc::omp {
@@ -98,6 +100,11 @@ struct PresentEntry {
   /// (zero-copy semantics inside a Copy-managed configuration), so no
   /// transfers are issued for it and no pool storage is freed with it.
   bool degraded = false;
+  /// The host-to-device transfer that filled a fresh entry and the thread
+  /// that issued it: other threads' hits wait for it (libomptarget's entry
+  /// event). An error means the creating region failed.
+  std::optional<hsa::Signal> fill;
+  int filled_by = -1;
 
   [[nodiscard]] mem::VirtAddr device_addr(mem::VirtAddr host_addr) const {
     return device_base + (host_addr - host.base);

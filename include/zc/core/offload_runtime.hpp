@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -236,6 +237,7 @@ class OffloadRuntime {
     bool with_handler = false;
     bool count_in_ledger = true;
     int device = 0;
+    std::optional<hsa::Signal> fills;  ///< `PresentEntry::fill` it completes
   };
 
   void ensure_initialized();
@@ -270,7 +272,8 @@ class OffloadRuntime {
   /// transaction for every configuration: a hit takes a reference; a miss
   /// is realized as a breaker-pinned fallback, a policy decision or a
   /// DmaCopy, whose pool allocation, OOM fallback, insert, prefault and
-  /// h2d copy (appended to `copies`) share one code path.
+  /// h2d copy (appended to `copies`) share one code path. A hit on
+  /// another thread's fresh entry waits for its fill, outside the lock.
   void begin_one(const MapEntry& entry, int device,
                  std::vector<PendingCopy>& copies);
   /// Adaptive Maps classification of a `Policy` entry's present-table
@@ -297,9 +300,9 @@ class OffloadRuntime {
   /// into the GPU page table *before* the degraded entry becomes visible
   /// in the present table — another thread could dispatch a kernel on the
   /// range the moment it is published, and an untranslatable page would
-  /// then be a fatal GpuMemoryFault.
-  void fallback_map_zero_copy(const MapEntry& entry, int device,
-                              trace::FaultEvent reason);
+  /// then be a fatal GpuMemoryFault. Returns the fill of a hit instead.
+  [[nodiscard]] std::optional<hsa::Signal> fallback_map_zero_copy(
+      const MapEntry& entry, int device, trace::FaultEvent reason);
 
   /// `svm_attributes_set` through the retry ladder: EINTR/EBUSY calls are
   /// retried with exponential backoff in virtual time, hung calls are
@@ -316,7 +319,8 @@ class OffloadRuntime {
   /// Wait for a batch of copies, then run the retry ladder on each copy
   /// that errored or that the watchdog aborted. A copy whose error budget
   /// (`DegradeParams::copy_max_retries`) runs out fails the region with
-  /// OffloadError(CopyFailed). Clears `copies`.
+  /// OffloadError(CopyFailed). Completes the fresh entries' fills at the
+  /// times their bytes landed, then clears `copies` (kept on a throw).
   void wait_all(std::vector<PendingCopy>& copies);
 
   /// Wait for a dispatched kernel's signal; if the watchdog aborted it, run
@@ -340,7 +344,7 @@ class OffloadRuntime {
 
   /// Record BreakerOpened/BreakerHalfOpened/BreakerClosed fault events for
   /// the transitions a breaker call returned. Call with `table_mutex_`
-  /// held (the trace mutex nests inside it).
+  /// held.
   void record_breaker_transitions(
       const std::vector<CircuitBreaker::Transition>& transitions, int device);
 

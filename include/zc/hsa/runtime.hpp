@@ -81,11 +81,10 @@ struct PrefaultResult {
   [[nodiscard]] bool ok() const { return status == Status::Ok; }
 };
 
-/// Per-device (per-socket) accumulators, maintained by every API call under
-/// the trace mutex. They answer "what did each APU do" for multi-device
-/// runs: kernels and their faults from the dispatch path, copies from the
-/// SDMA path (attributed to the engine's device), migrations from
-/// `migrate_pages`.
+/// Per-device (per-socket) accumulators, maintained by every API call. They
+/// answer "what did each APU do" for multi-device runs: kernels and their
+/// faults from the dispatch path, copies from the SDMA path (attributed to
+/// the engine's device), migrations from `migrate_pages`.
 struct DeviceCounters {
   std::uint64_t kernels = 0;
   std::uint64_t remote_kernels = 0;  ///< launches touching remote-homed bytes
@@ -231,58 +230,43 @@ class Runtime {
   void run_kernel(const KernelLaunch& launch, int host_thread = 0);
 
   /// --- state & instrumentation -------------------------------------------
-  /// The accessors below hand out unguarded references by design: they
-  /// serve read-only snapshots (tests, the run harness) and opt-in
-  /// configuration before threads start. All *accumulation* — the writes
-  /// performed concurrently by every API call — goes through
-  /// `trace_mutex_` and is enforced by the sim lock-discipline checker.
+  /// The accessors below serve read-only snapshots (tests, the run harness)
+  /// and opt-in configuration before threads start. The accumulators take
+  /// no lock: bookkeeping is not synchronization (DESIGN.md §5).
   [[nodiscard]] apu::Machine& machine() { return machine_; }
   [[nodiscard]] mem::MemorySystem& memory() { return mem_; }
-  [[nodiscard]] trace::CallStats& stats() {
-    flush_pending_calls();
-    return stats_.unguarded();
-  }
-  [[nodiscard]] const trace::CallStats& stats() const {
-    // Reading drains the batched sink first so the aggregate is complete;
-    // the drain only moves buffered records into the guarded accumulator.
-    const_cast<Runtime*>(this)->flush_pending_calls();
-    return stats_.unguarded();
-  }
-  [[nodiscard]] trace::KernelTrace& kernel_trace() {
-    return ktrace_.unguarded();
-  }
-  [[nodiscard]] trace::CopyTrace& copy_trace() { return cptrace_.unguarded(); }
+  [[nodiscard]] trace::CallStats& stats() { return stats_; }
+  [[nodiscard]] const trace::CallStats& stats() const { return stats_; }
+  [[nodiscard]] trace::KernelTrace& kernel_trace() { return ktrace_; }
+  [[nodiscard]] trace::CopyTrace& copy_trace() { return cptrace_; }
   /// Per-device accumulators, indexed by socket (post-run snapshots).
   [[nodiscard]] const std::vector<DeviceCounters>& device_counters() const {
-    return devstats_.unguarded();
+    return devstats_;
   }
   /// Size the per-tenant accumulators (idempotent; call before the service
   /// worker fibers start issuing work). Zero disables tenant accounting.
   void configure_tenants(int tenants);
   /// Register the calling fiber's jobs as belonging to `tenant` (-1 clears
-  /// the registration). Takes `trace_mutex_`; the service worker calls this
-  /// once per job it picks up.
+  /// the registration). The service worker calls this once per job it
+  /// picks up.
   void set_thread_tenant(int tenant);
   /// Per-tenant accumulators, indexed by tenant (post-run snapshots; empty
   /// unless `configure_tenants` was called).
   [[nodiscard]] const std::vector<TenantCounters>& tenant_counters() const {
-    return tenantstats_.unguarded();
+    return tenantstats_;
   }
   /// Per-call timeline trace (opt-in; aggregate stats are always on).
-  [[nodiscard]] trace::CallTrace& call_trace() { return ctrace_.unguarded(); }
-  [[nodiscard]] trace::OverheadLedger& ledger() { return ledger_.unguarded(); }
-  [[nodiscard]] const trace::FaultTrace& fault_trace() const {
-    return ftrace_.unguarded();
-  }
+  [[nodiscard]] trace::CallTrace& call_trace() { return ctrace_; }
+  [[nodiscard]] trace::OverheadLedger& ledger() { return ledger_; }
+  [[nodiscard]] const trace::FaultTrace& fault_trace() const { return ftrace_; }
   /// The hang detector; configured from the environment's
   /// `OMPX_APU_WATCHDOG`. The core layer subscribes its circuit breaker to
   /// trips via `Watchdog::set_trip_listener`.
   [[nodiscard]] Watchdog& watchdog() { return watchdog_; }
   [[nodiscard]] const Watchdog& watchdog() const { return watchdog_; }
 
-  /// Record a fault-handling event (takes the trace mutex internally).
-  /// Public so the OpenMP layer can record its degraded-mode reactions into
-  /// the same trace the injections land in.
+  /// Record a fault-handling event. Public so the OpenMP layer can record
+  /// its degraded-mode reactions into the same trace the injections land in.
   void record_fault(trace::FaultRecord r);
   /// The common case: `event` on `device`, stamped with the calling
   /// thread's `now()`. `range` is the affected host range; events that
@@ -295,24 +279,11 @@ class Runtime {
   [[nodiscard]] sim::Scheduler& sched() { return machine_.sched(); }
 
   /// Record into the aggregate stats and (when enabled) the call trace.
-  /// Batched sink: with no concurrency observer installed and the per-call
-  /// trace disabled, records accumulate in `pending_calls_` and are folded
-  /// into the guarded stats in blocks (one `trace_mutex_` acquisition per
-  /// `kCallFlushThreshold` records instead of one per call — the aggregate
-  /// is order-insensitive, so the result is identical). With hooks active
-  /// or the call trace on, every record takes the lock as before, so the
-  /// race detector sees the exact same release/acquire edges.
   void record_call(trace::HsaCall call, sim::TimePoint start,
                    sim::Duration latency);
 
   /// Tenant the calling fiber registered via `set_thread_tenant`, or -1.
-  /// Call with `trace_mutex_` held.
-  [[nodiscard]] int current_tenant_locked();
-
-  /// Drain `pending_calls_` into the guarded stats (under `trace_mutex_`
-  /// when called from inside a virtual thread; directly during post-run
-  /// introspection, when no concurrency exists).
-  void flush_pending_calls();
+  [[nodiscard]] int current_tenant();
 
   /// Build the forever-incomplete signal of a hang-injected operation:
   /// name it, record the injection, and register it with the watchdog.
@@ -337,35 +308,17 @@ class Runtime {
   apu::Machine& machine_;
   mem::MemorySystem& mem_;
   Watchdog watchdog_;
-  /// Guards all instrumentation accumulators against concurrent host
-  /// threads — the equivalent of libomptarget/rocprof keeping their stats
-  /// behind a mutex (or atomics). Taking it costs no simulated time.
-  sim::Mutex trace_mutex_;
-  sim::GuardedBy<trace::CallStats> stats_;
-  sim::GuardedBy<trace::CallTrace> ctrace_;
-  sim::GuardedBy<trace::KernelTrace> ktrace_;
-  sim::GuardedBy<trace::CopyTrace> cptrace_;
-  sim::GuardedBy<trace::OverheadLedger> ledger_;
-  sim::GuardedBy<trace::FaultTrace> ftrace_;
-  sim::GuardedBy<std::vector<DeviceCounters>> devstats_;
+  trace::CallStats stats_;
+  trace::CallTrace ctrace_;
+  trace::KernelTrace ktrace_;
+  trace::CopyTrace cptrace_;
+  trace::OverheadLedger ledger_;
+  trace::FaultTrace ftrace_;
+  std::vector<DeviceCounters> devstats_;
   /// Per-tenant accumulators and the fiber-id -> tenant registration map
-  /// behind them (see `set_thread_tenant`); both share `trace_mutex_` with
-  /// the rest of the instrumentation.
-  sim::GuardedBy<std::vector<TenantCounters>> tenantstats_;
-  sim::GuardedBy<std::unordered_map<int, int>> thread_tenants_;
-
-  /// Batched trace sink (see `record_call`). The simulator runs all fibers
-  /// on one OS thread, so appends need no host-side synchronization; the
-  /// sim-level mutex only matters for the modeled concurrency the race
-  /// detector observes, and the fast path is taken only when no observer
-  /// is installed.
-  struct PendingCall {
-    trace::HsaCall call;
-    sim::TimePoint start;
-    sim::Duration latency;
-  };
-  static constexpr std::size_t kCallFlushThreshold = 256;
-  std::vector<PendingCall> pending_calls_;
+  /// behind them (see `set_thread_tenant`).
+  std::vector<TenantCounters> tenantstats_;
+  std::unordered_map<int, int> thread_tenants_;
 };
 
 }  // namespace zc::hsa

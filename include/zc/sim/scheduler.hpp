@@ -359,7 +359,8 @@ class WaitList {
  public:
   /// Block the current thread until `notify_all` is called.
   /// On wakeup the thread's clock is at least the notifier-supplied time.
-  /// `what` labels the wait in deadlock diagnostics.
+  /// `what` labels the wait in deadlock diagnostics. A notify during the
+  /// stress-mode yield before listing is the wakeup: callers re-check.
   void wait(Scheduler& sched, std::string_view what = "WaitList");
 
   /// Block like `wait`, but give up after `timeout` of virtual time.
@@ -396,6 +397,8 @@ class WaitList {
   void remove_waiter(VirtualThread& t);
 
   std::vector<VirtualThread*> waiters_;
+  std::uint64_t notifies_ = 0;  ///< notify_all/notify_one calls so far
+  TimePoint last_notify_at_;     ///< `at_least` of the latest notify
 };
 
 /// A one-shot latch: threads that `wait` before `set` block; waits after
@@ -471,16 +474,13 @@ class Mutex {
       throw LockDisciplineError("Mutex::lock: recursive lock by thread '" +
                                 self.name() + "'");
     }
-    if (owner_ != nullptr) {
-      // Direct handoff: unlock() transfers ownership to the waiter it
-      // wakes, so being woken means the lock is already ours — no re-check
-      // race against barging peers (the pre-handoff thundering herd).
-      do {
-        waiters_.wait(sched, label());
-      } while (owner_ != &self);
-    } else {
-      owner_ = &self;
+    // Direct handoff: unlock() transfers ownership to the waiter it wakes,
+    // so being woken means the lock is already ours (no barging herd) —
+    // unless a stress-mode wakeup (`WaitList::wait`) found it free.
+    while (owner_ != nullptr && owner_ != &self) {
+      waiters_.wait(sched, label());
     }
+    owner_ = &self;
     self.held_.push_back(this);
     if (ConcurrencyHooks* h = sched.hooks()) {
       h->on_acquire(this, SyncKind::Mutex);
@@ -500,22 +500,19 @@ class Mutex {
           "Mutex::try_lock_for: recursive lock by thread '" + self.name() +
           "'");
     }
-    if (owner_ != nullptr) {
-      const TimePoint deadline = sched.now() + timeout;
-      // A handoff can only reach us before our deadline fires (the timer
-      // wheel wakes expired waiters out of the list first), so waking with
-      // ownership and timing out are mutually exclusive; the loop guard is
-      // belt-and-braces against a stray notify.
-      do {
-        const Duration left = deadline - sched.now();
-        if (left <= Duration::zero() ||
-            !waiters_.wait_for(sched, left, label())) {
-          return false;
-        }
-      } while (owner_ != &self);
-    } else {
-      owner_ = &self;
+    const TimePoint deadline = sched.now() + timeout;
+    // A handoff can only reach us before our deadline fires (the timer
+    // wheel wakes expired waiters out of the list first), so waking with
+    // ownership and timing out are mutually exclusive; the loop guard
+    // covers a stress-mode wakeup that finds the lock free or re-taken.
+    while (owner_ != nullptr && owner_ != &self) {
+      const Duration left = deadline - sched.now();
+      if (left <= Duration::zero() ||
+          !waiters_.wait_for(sched, left, label())) {
+        return false;
+      }
     }
+    owner_ = &self;
     self.held_.push_back(this);
     if (ConcurrencyHooks* h = sched.hooks()) {
       h->on_acquire(this, SyncKind::Mutex);

@@ -33,10 +33,10 @@ enum class HsaCall : int {
 /// charged the time the caller was blocked, a copy is charged its engine
 /// time, an allocation its driver round trip.
 ///
-/// Concurrency discipline: the class itself is not synchronized. All
-/// accumulation from virtual host threads happens inside `hsa::Runtime`
-/// under its trace mutex (checker-enforced via `sim::GuardedBy`); `reset`,
-/// `merge`, and the readers run on quiescent instances or snapshots.
+/// Concurrency discipline: plain bookkeeping, not synchronized. Every
+/// virtual host thread accumulates into it through `hsa::Runtime` without a
+/// lock (DESIGN.md §5); `reset`, `merge`, and the readers run on quiescent
+/// instances or snapshots.
 class CallStats {
  public:
   void record(HsaCall call, sim::Duration latency);

@@ -15,9 +15,8 @@ namespace zc::trace {
 ///   first-touch page faults (the XNACK protocol executing page-by-page
 ///   while the kernel runs).
 ///
-/// Concurrency discipline: like `CallStats`, the ledger is unsynchronized;
-/// every `add_*` from a virtual host thread goes through `hsa::Runtime`'s
-/// trace mutex (checker-enforced), readers see quiescent state.
+/// Concurrency discipline: like `CallStats`, plain unsynchronized
+/// bookkeeping; readers see quiescent state.
 class OverheadLedger {
  public:
   void add_alloc(sim::Duration d) {

@@ -1,6 +1,7 @@
 #include "zc/core/offload_runtime.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <functional>
 #include <optional>
 #include <stdexcept>
@@ -453,8 +454,7 @@ int retry_until_ok(hsa::Runtime& hsa, const RetryOp& op, CallOutcome outcome,
 }  // namespace
 
 void OffloadRuntime::wait_all(std::vector<PendingCopy>& copies) {
-  const std::vector<PendingCopy> batch = std::exchange(copies, {});
-  if (batch.empty()) {
+  if (copies.empty()) {
     return;
   }
   // The runtime batches: one wait on the transfer that completes last
@@ -468,12 +468,12 @@ void OffloadRuntime::wait_all(std::vector<PendingCopy>& copies) {
                                   : sim::TimePoint::max();
   };
   auto latest =
-      std::max_element(batch.begin(), batch.end(),
+      std::max_element(copies.begin(), copies.end(),
                        [&](const PendingCopy& a, const PendingCopy& b) {
                          return completes_at(a) < completes_at(b);
                        });
   hsa_.signal_wait_scacquire(latest->signal);
-  for (const PendingCopy& pc : batch) {
+  for (const PendingCopy& pc : copies) {
     if (!pc.signal.is_complete()) {
       // More than one stall in the batch: each tripped at its own deadline.
       hsa_.signal_wait_scacquire(pc.signal);
@@ -482,7 +482,7 @@ void OffloadRuntime::wait_all(std::vector<PendingCopy>& copies) {
   // An errored or aborted copy delivered no bytes: resubmit it until a
   // submission completes cleanly, or fail only the offending region — with
   // a structured error, not an abort — and the runtime stays usable.
-  for (const PendingCopy& pc : batch) {
+  for (PendingCopy& pc : copies) {
     const CallOutcome outcome = outcome_of(pc.signal);
     if (outcome == CallOutcome::Ok) {
       continue;
@@ -496,17 +496,25 @@ void OffloadRuntime::wait_all(std::vector<PendingCopy>& copies) {
         .retried = trace::FaultEvent::CopyRetrySucceeded,
         .max_retries = hsa_.machine().degrade_params().copy_max_retries};
     const int last = retry_until_ok(hsa_, op, outcome, [&] {
-      const hsa::Signal retry =
+      pc.signal =
           hsa_.memory_async_copy(pc.dst, pc.src, pc.bytes, pc.with_handler,
                                  pc.count_in_ledger, pc.device);
-      hsa_.signal_wait_scacquire(retry);
-      return outcome_of(retry);
+      hsa_.signal_wait_scacquire(pc.signal);
+      return outcome_of(pc.signal);
     });
     if (last > 0) {
       fail_region(hsa_, op, last, ErrorCode::CopyFailed,
                   op.what + " failed after retry");
     }
   }
+  // Every byte landed: each fresh entry's fill completes when the
+  // submission that delivered its bytes did.
+  for (PendingCopy& pc : copies) {
+    if (pc.fills) {
+      pc.fills->complete(hsa_.machine().sched(), pc.signal.complete_at());
+    }
+  }
+  copies.clear();
 }
 
 void OffloadRuntime::prefault_with_retry(mem::AddrRange range, int device) {
@@ -619,8 +627,8 @@ bool OffloadRuntime::breaker_pinned_locked(int device) {
   return b.open();
 }
 
-void OffloadRuntime::fallback_map_zero_copy(const MapEntry& entry, int device,
-                                            trace::FaultEvent reason) {
+std::optional<hsa::Signal> OffloadRuntime::fallback_map_zero_copy(
+    const MapEntry& entry, int device, trace::FaultEvent reason) {
   apu::Machine& m = hsa_.machine();
   hsa_.record_fault(reason, device, entry.host_range());
   if (reason != trace::FaultEvent::BreakerPinnedMap) {
@@ -644,11 +652,12 @@ void OffloadRuntime::fallback_map_zero_copy(const MapEntry& entry, int device,
     if (!e->pinned) {
       ++e->refcount;
     }
-    return;
+    return e->filled_by != m.sched().current().id() ? e->fill : std::nullopt;
   }
   PresentEntry& e = table.insert(entry.host_range(), entry.host_ptr);
   e.refcount = 1;
   e.degraded = true;
+  return std::nullopt;
 }
 
 adapt::Decision OffloadRuntime::decide_locked(const MapEntry& entry,
@@ -733,6 +742,9 @@ void OffloadRuntime::begin_one(const MapEntry& entry, int device,
   bool do_prefault = false;
   std::optional<trace::FaultEvent> fallback;
   mem::VirtAddr dev_dst;
+  const int tid = m.sched().current().id();
+  std::optional<hsa::Signal> await_fill;  // another thread's fresh entry
+  std::optional<hsa::Signal> new_fill;    // this thread's fresh entry
   {
     // Mapping-table transaction: the lookup, the classification of a miss
     // and the insert (with the device allocation in between) must be
@@ -752,6 +764,8 @@ void OffloadRuntime::begin_one(const MapEntry& entry, int device,
       }
       do_copy = !e->degraded && entry.always && copies_to_device(entry.type);
       dev_dst = e->device_addr(entry.host_ptr);
+      // Program order already covers the creator's own transfer.
+      await_fill = e->filled_by != tid ? e->fill : std::nullopt;
     } else if (handling == MapHandling::Copy && breaker_pinned_locked(device)) {
       // Open breaker: new mappings skip the pool + DMA entirely (already-
       // mapped ranges above keep their device storage and semantics).
@@ -776,6 +790,10 @@ void OffloadRuntime::begin_one(const MapEntry& entry, int device,
           e->refcount = 1;
           do_copy = copies_to_device(entry.type);
           dev_dst = e->device_addr(entry.host_ptr);
+          if (do_copy) {
+            new_fill = e->fill.emplace();
+            e->filled_by = tid;
+          }
         } else {
           // Device pool exhausted: degrade this map to zero-copy outside
           // the lock.
@@ -789,17 +807,29 @@ void OffloadRuntime::begin_one(const MapEntry& entry, int device,
   // release can free it), and the prefault only touches the driver's page
   // tables.
   if (fallback) {
-    fallback_map_zero_copy(entry, device, *fallback);
-    return;
-  }
-  if (do_prefault) {
+    await_fill = fallback_map_zero_copy(entry, device, *fallback);
+  } else if (do_prefault) {
     prefault_with_retry(entry.host_range(), device);
+  }
+  if (await_fill) {
+    // Never wait on a pending fill while holding unpublished fills: the
+    // other thread could be waiting on one of them.
+    if (!await_fill->is_complete()) {
+      wait_all(copies);
+    }
+    await_fill->wait(m.sched());
+    if (await_fill->errored()) {
+      throw OffloadError(ErrorCode::CopyFailed,
+                         "the transfer that created this mapping failed",
+                         device, entry.host_range());
+    }
   }
   if (do_copy) {
     copies.push_back(submit_copy(dev_dst, entry.host_ptr, entry.bytes,
                                  entry.host_range(),
                                  /*with_handler=*/false,
                                  /*count_in_ledger=*/true, device));
+    copies.back().fills = new_fill;
   }
 }
 
@@ -924,10 +954,26 @@ void OffloadRuntime::target_data_begin(std::span<const MapEntry> maps,
   check_device(device);
   check_distinct(maps);
   std::vector<PendingCopy> copies;
-  for (const MapEntry& entry : maps) {
-    begin_one(entry, device, copies);
+  std::exception_ptr failed;
+  try {
+    for (const MapEntry& entry : maps) {
+      begin_one(entry, device, copies);
+    }
+    wait_all(copies);
+  } catch (...) {
+    failed = std::current_exception();
   }
-  wait_all(copies);
+  if (failed) {
+    // The fresh entries the failed region has not published never get
+    // their bytes. Outside the handler: a woken waiter may take the CPU.
+    sim::Scheduler& sched = hsa_.machine().sched();
+    for (PendingCopy& pc : copies) {
+      if (pc.fills) {
+        pc.fills->complete_error(sched, sched.now());
+      }
+    }
+    std::rethrow_exception(failed);
+  }
 }
 
 void OffloadRuntime::target_data_end(std::span<const MapEntry> maps,

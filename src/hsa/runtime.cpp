@@ -15,42 +15,26 @@ Runtime::Runtime(apu::Machine& machine, mem::MemorySystem& mem)
       mem_{mem},
       watchdog_{machine, machine.env().watchdog,
                 [this](trace::FaultRecord r) { record_fault(r); }},
-      trace_mutex_{"hsa-trace"},
-      stats_{trace_mutex_, "CallStats"},
-      ctrace_{trace_mutex_, "CallTrace"},
-      ktrace_{trace_mutex_, "KernelTrace"},
-      cptrace_{trace_mutex_, "CopyTrace"},
-      ledger_{trace_mutex_, "OverheadLedger"},
-      ftrace_{trace_mutex_, "FaultTrace"},
-      devstats_{trace_mutex_, "DeviceCounters",
-                static_cast<std::size_t>(mem.sockets())},
-      tenantstats_{trace_mutex_, "TenantCounters"},
-      thread_tenants_{trace_mutex_, "ThreadTenants"} {}
+      devstats_(static_cast<std::size_t>(mem.sockets())) {}
 
 void Runtime::configure_tenants(int tenants) {
-  // Pre-run opt-in configuration (like call-trace enablement): sized before
-  // the service worker fibers start, so the unguarded write is safe.
-  tenantstats_.unguarded().resize(
-      tenants > 0 ? static_cast<std::size_t>(tenants) : 0);
+  tenantstats_.resize(tenants > 0 ? static_cast<std::size_t>(tenants) : 0);
 }
 
 void Runtime::set_thread_tenant(int tenant) {
-  sim::LockGuard lock{trace_mutex_, sched()};
-  auto& map = thread_tenants_.get(sched());
   if (tenant < 0) {
-    map.erase(sched().current().id());
+    thread_tenants_.erase(sched().current().id());
   } else {
-    map[sched().current().id()] = tenant;
+    thread_tenants_[sched().current().id()] = tenant;
   }
 }
 
-int Runtime::current_tenant_locked() {
-  const auto& map = thread_tenants_.get(sched());
-  if (map.empty()) {
+int Runtime::current_tenant() {
+  if (thread_tenants_.empty()) {
     return -1;
   }
-  const auto it = map.find(sched().current().id());
-  return it == map.end() ? -1 : it->second;
+  const auto it = thread_tenants_.find(sched().current().id());
+  return it == thread_tenants_.end() ? -1 : it->second;
 }
 
 Signal Runtime::hung_signal(std::string name, trace::FaultEvent event,
@@ -64,49 +48,13 @@ Signal Runtime::hung_signal(std::string name, trace::FaultEvent event,
 
 void Runtime::record_call(trace::HsaCall call, TimePoint start,
                           Duration latency) {
-  // Fast path: nothing observes the per-record lock acquisitions (no
-  // concurrency hooks) and nothing needs the per-call ordering (call trace
-  // off — its enablement is pre-run opt-in configuration, so the unguarded
-  // read is of effectively-constant state). Buffer and flush in blocks.
-  if (sched().hooks() == nullptr && !ctrace_.unguarded().enabled()) {
-    pending_calls_.push_back({call, start, latency});
-    if (pending_calls_.size() >= kCallFlushThreshold) {
-      flush_pending_calls();
-    }
-    return;
-  }
-  flush_pending_calls();  // older buffered records fold in first
-  sim::LockGuard lock{trace_mutex_, sched()};
-  stats_.get(sched()).record(call, latency);
-  trace::CallTrace& ctrace = ctrace_.get(sched());
-  if (ctrace.enabled()) {
-    ctrace.record(call, sched().current().id(), start, latency);
+  stats_.record(call, latency);
+  if (ctrace_.enabled()) {
+    ctrace_.record(call, sched().current().id(), start, latency);
   }
 }
 
-void Runtime::flush_pending_calls() {
-  if (pending_calls_.empty()) {
-    return;
-  }
-  if (sched().in_thread()) {
-    sim::LockGuard lock{trace_mutex_, sched()};
-    trace::CallStats& stats = stats_.get(sched());
-    for (const PendingCall& p : pending_calls_) {
-      stats.record(p.call, p.latency);
-    }
-  } else {
-    // Post-run introspection: single-threaded, no lock to model.
-    for (const PendingCall& p : pending_calls_) {
-      stats_.unguarded().record(p.call, p.latency);
-    }
-  }
-  pending_calls_.clear();
-}
-
-void Runtime::record_fault(trace::FaultRecord r) {
-  sim::LockGuard lock{trace_mutex_, sched()};
-  ftrace_.get(sched()).record(r);
-}
+void Runtime::record_fault(trace::FaultRecord r) { ftrace_.record(r); }
 
 void Runtime::record_fault(trace::FaultEvent event, int device,
                            mem::AddrRange range, int attempt) {
@@ -172,9 +120,7 @@ Runtime::ReclaimCharge Runtime::reclaim_to(int device,
   if (ro.split > 0) {
     record_fault(trace::FaultEvent::ThpSplit, device, {{}, ro.split});
   }
-  sim::LockGuard lock{trace_mutex_, sched()};
-  devstats_.get(sched()).at(static_cast<std::size_t>(device)).evicted_pages +=
-      ro.evicted;
+  devstats_.at(static_cast<std::size_t>(device)).evicted_pages += ro.evicted;
   return out;
 }
 
@@ -224,8 +170,7 @@ PoolAllocResult Runtime::try_memory_pool_allocate(std::uint64_t bytes,
     sched().advance_to(iv.end);
     record_call(trace::HsaCall::MemoryPoolAllocate, start, dur);
     if (count_in_ledger) {
-      sim::LockGuard lock{trace_mutex_, sched()};
-      ledger_.get(sched()).add_alloc(dur);
+      ledger_.add_alloc(dur);
     }
     record_fault(failure, device, {{}, bytes});
     return PoolAllocResult{Status::OutOfMemory, {}};
@@ -249,8 +194,7 @@ PoolAllocResult Runtime::try_memory_pool_allocate(std::uint64_t bytes,
   sched().advance_to(iv.end);
   record_call(trace::HsaCall::MemoryPoolAllocate, start, dur);
   if (count_in_ledger) {
-    sim::LockGuard lock{trace_mutex_, sched()};
-    ledger_.get(sched()).add_alloc(dur);
+    ledger_.add_alloc(dur);
   }
   if (reclaimed > 0) {
     record_fault(trace::FaultEvent::PoolReclaimed, device, {{}, bytes});
@@ -285,8 +229,7 @@ void Runtime::memory_pool_free(mem::VirtAddr base) {
   sched().advance_to(iv.end);
   mem_.pool_free(base);
   record_call(trace::HsaCall::MemoryPoolFree, start, dur);
-  sim::LockGuard lock{trace_mutex_, sched()};
-  ledger_.get(sched()).add_alloc(dur);
+  ledger_.add_alloc(dur);
 }
 
 Signal Runtime::memory_async_copy(mem::VirtAddr dst, mem::VirtAddr src,
@@ -390,33 +333,27 @@ Signal Runtime::memory_async_copy(mem::VirtAddr dst, mem::VirtAddr src,
     sig.complete(sched(), done);
   }
   record_call(trace::HsaCall::MemoryAsyncCopy, start, setup + engine_time);
-  {
-    sim::LockGuard lock{trace_mutex_, sched()};
-    if (count_in_ledger) {
-      ledger_.get(sched()).add_copy(setup + engine_time);
-    }
-    cptrace_.get(sched()).record(trace::CopyRecord{.device = device,
-                                                   .src_socket = src_sock,
-                                                   .dst_socket = dst_sock,
-                                                   .submit = start,
-                                                   .start = iv.start,
-                                                   .end = done,
-                                                   .bytes = bytes});
-    DeviceCounters& dc =
-        devstats_.get(sched()).at(static_cast<std::size_t>(device));
-    ++dc.copies;
-    dc.copy_bytes += bytes;
-    if (src_sock != dst_sock) {
-      ++dc.cross_socket_copies;
-    }
-    if (const int tenant = current_tenant_locked(); tenant >= 0) {
-      auto& ts = tenantstats_.get(sched());
-      if (static_cast<std::size_t>(tenant) < ts.size()) {
-        TenantCounters& tc = ts[static_cast<std::size_t>(tenant)];
-        ++tc.copies;
-        tc.copy_bytes += bytes;
-      }
-    }
+  if (count_in_ledger) {
+    ledger_.add_copy(setup + engine_time);
+  }
+  cptrace_.record(trace::CopyRecord{.device = device,
+                                    .src_socket = src_sock,
+                                    .dst_socket = dst_sock,
+                                    .submit = start,
+                                    .start = iv.start,
+                                    .end = done,
+                                    .bytes = bytes});
+  DeviceCounters& dc = devstats_.at(static_cast<std::size_t>(device));
+  ++dc.copies;
+  dc.copy_bytes += bytes;
+  if (src_sock != dst_sock) {
+    ++dc.cross_socket_copies;
+  }
+  if (const int tenant = current_tenant();
+      tenant >= 0 && static_cast<std::size_t>(tenant) < tenantstats_.size()) {
+    TenantCounters& tc = tenantstats_[static_cast<std::size_t>(tenant)];
+    ++tc.copies;
+    tc.copy_bytes += bytes;
   }
   if (with_handler && !sdma_stall) {
     // Host-side completion callback bookkeeping (a stalled copy's handler
@@ -452,10 +389,7 @@ PrefaultResult Runtime::try_svm_attributes_set_prefault(mem::AddrRange range,
     const sim::Interval iv = machine_.driver(device).reserve(start, dur);
     sched().advance_to(iv.end);
     record_call(trace::HsaCall::SvmAttributesSet, start, dur);
-    {
-      sim::LockGuard lock{trace_mutex_, sched()};
-      ledger_.get(sched()).add_prefault(dur);
-    }
+    ledger_.add_prefault(dur);
     Signal stuck = hung_signal("svm-prefault@" + range.base.to_string(),
                                trace::FaultEvent::PrefaultHangInjected, device,
                                range);
@@ -475,10 +409,7 @@ PrefaultResult Runtime::try_svm_attributes_set_prefault(mem::AddrRange range,
     record_fault(eintr ? trace::FaultEvent::EintrInjected
                        : trace::FaultEvent::EbusyInjected,
                  device, range);
-    {
-      sim::LockGuard lock{trace_mutex_, sched()};
-      ledger_.get(sched()).add_prefault(dur);
-    }
+    ledger_.add_prefault(dur);
     return PrefaultResult{eintr ? Status::Interrupted : Status::Busy, {}};
   }
 
@@ -507,13 +438,9 @@ PrefaultResult Runtime::try_svm_attributes_set_prefault(mem::AddrRange range,
     record_fault(trace::FaultEvent::ThpCollapsed, device,
                  {range.base, out.collapsed});
   }
-  sim::LockGuard lock{trace_mutex_, sched()};
-  ledger_.get(sched()).add_prefault(dur);
-  if (out.promoted > 0) {
-    devstats_.get(sched())
-        .at(static_cast<std::size_t>(device))
-        .promoted_pages += out.promoted;
-  }
+  ledger_.add_prefault(dur);
+  devstats_.at(static_cast<std::size_t>(device)).promoted_pages +=
+      out.promoted;
   return PrefaultResult{Status::Ok, out};
 }
 
@@ -568,12 +495,8 @@ std::uint64_t Runtime::migrate_pages(mem::AddrRange range, int device) {
   const sim::Interval d_iv = machine_.driver(device).reserve(x_iv.end, per_side);
   sched().advance_to(d_iv.end);
   record_call(trace::HsaCall::SvmAttributesSet, start, d_iv.end - start);
-  {
-    sim::LockGuard lock{trace_mutex_, sched()};
-    ledger_.get(sched()).add_prefault(d_iv.end - start);
-    devstats_.get(sched()).at(static_cast<std::size_t>(device)).migrated_pages +=
-        moved;
-  }
+  ledger_.add_prefault(d_iv.end - start);
+  devstats_.at(static_cast<std::size_t>(device)).migrated_pages += moved;
   return moved;
 }
 
@@ -654,10 +577,8 @@ Signal Runtime::dispatch_kernel(const KernelLaunch& launch, int host_thread,
         pressure_time = pressure_time + mdur;
         record_fault(trace::FaultEvent::AutoMigrated, cand.to_socket,
                      {mem::VirtAddr{cand.page * pb}, moved * pb});
-        sim::LockGuard lock{trace_mutex_, sched()};
-        devstats_.get(sched())
-            .at(static_cast<std::size_t>(cand.to_socket))
-            .migrated_pages += moved;
+        devstats_.at(static_cast<std::size_t>(cand.to_socket)).migrated_pages +=
+            moved;
       }
     }
   }
@@ -925,44 +846,36 @@ Signal Runtime::dispatch_kernel(const KernelLaunch& launch, int host_thread,
     launch.body(ctx);
   }
 
-  {
-    // Scoped tightly: signal completion below can hand the CPU to a waiter
-    // and must not happen while the trace mutex is held.
-    sim::LockGuard trace_lock{trace_mutex_, sched()};
-    if (faults > 0) {
-      ledger_.get(sched()).add_first_touch(fault_term, faults);
-    }
-    ktrace_.get(sched()).record(trace::KernelRecord{
-        .name = launch.name,
-        .host_thread = host_thread,
-        .device = launch.device,
-        .dispatch = dispatched,
-        .start = gi.start,
-        .end = gi.end,
-        .compute = compute,
-        .fault_stall = fault_term,
-        .tlb_stall = tlb_time,
-        .page_faults = faults,
-        .tlb_misses = tlb_misses,
-        .remote_bytes = remote_bytes,
-    });
-    DeviceCounters& dc =
-        devstats_.get(sched()).at(static_cast<std::size_t>(launch.device));
-    ++dc.kernels;
-    dc.page_faults += faults;
-    dc.tlb_misses += tlb_misses;
-    dc.promoted_pages += promoted;
-    if (remote_bytes > 0) {
-      ++dc.remote_kernels;
-    }
-    if (const int tenant = current_tenant_locked(); tenant >= 0) {
-      auto& ts = tenantstats_.get(sched());
-      if (static_cast<std::size_t>(tenant) < ts.size()) {
-        TenantCounters& tc = ts[static_cast<std::size_t>(tenant)];
-        ++tc.kernels;
-        tc.page_faults += faults;
-      }
-    }
+  if (faults > 0) {
+    ledger_.add_first_touch(fault_term, faults);
+  }
+  ktrace_.record(trace::KernelRecord{
+      .name = launch.name,
+      .host_thread = host_thread,
+      .device = launch.device,
+      .dispatch = dispatched,
+      .start = gi.start,
+      .end = gi.end,
+      .compute = compute,
+      .fault_stall = fault_term,
+      .tlb_stall = tlb_time,
+      .page_faults = faults,
+      .tlb_misses = tlb_misses,
+      .remote_bytes = remote_bytes,
+  });
+  DeviceCounters& dc = devstats_.at(static_cast<std::size_t>(launch.device));
+  ++dc.kernels;
+  dc.page_faults += faults;
+  dc.tlb_misses += tlb_misses;
+  dc.promoted_pages += promoted;
+  if (remote_bytes > 0) {
+    ++dc.remote_kernels;
+  }
+  if (const int tenant = current_tenant();
+      tenant >= 0 && static_cast<std::size_t>(tenant) < tenantstats_.size()) {
+    TenantCounters& tc = tenantstats_[static_cast<std::size_t>(tenant)];
+    ++tc.kernels;
+    tc.page_faults += faults;
   }
 
   Signal sig;

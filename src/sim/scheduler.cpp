@@ -483,13 +483,20 @@ void Scheduler::wake(VirtualThread& t, TimePoint at_least) {
 }
 
 void WaitList::wait(Scheduler& sched, std::string_view what) {
+  // The stress point yields after the caller checked its condition but
+  // before this thread is listed: a notify in between is its wakeup.
+  const std::uint64_t seen = notifies_;
   sched.stress_point();  // wait points are where real schedules diverge
-  VirtualThread& self = sched.current();
-  self.waiting_in_ = this;
-  self.wait_what_ = what;
-  self.wait_slot_ = waiters_.size();
-  waiters_.push_back(&self);
-  sched.block_current();
+  if (notifies_ == seen) {
+    VirtualThread& self = sched.current();
+    self.waiting_in_ = this;
+    self.wait_what_ = what;
+    self.wait_slot_ = waiters_.size();
+    waiters_.push_back(&self);
+    sched.block_current();
+  } else {
+    sched.advance_to(last_notify_at_);
+  }
   if (ConcurrencyHooks* h = sched.hooks()) {
     h->on_acquire(this, SyncKind::WaitList);
   }
@@ -497,20 +504,25 @@ void WaitList::wait(Scheduler& sched, std::string_view what) {
 
 bool WaitList::wait_for(Scheduler& sched, Duration timeout,
                         std::string_view what) {
+  const std::uint64_t seen = notifies_;  // as in `wait`
   sched.stress_point();
   VirtualThread& self = sched.current();
   if (timeout <= Duration::zero()) {
     return false;  // deadline already passed; do not block
   }
-  self.waiting_in_ = this;
-  self.wait_what_ = what;
-  self.wake_at_ = sched.now() + timeout;
-  self.timed_out_ = false;
-  self.wait_slot_ = waiters_.size();
-  waiters_.push_back(&self);
-  sched.block_current();
-  const bool timed_out = self.timed_out_;
-  self.timed_out_ = false;
+  bool timed_out = false;
+  if (notifies_ == seen) {
+    self.waiting_in_ = this;
+    self.wait_what_ = what;
+    self.wake_at_ = sched.now() + timeout;
+    self.timed_out_ = false;
+    self.wait_slot_ = waiters_.size();
+    waiters_.push_back(&self);
+    sched.block_current();
+    timed_out = std::exchange(self.timed_out_, false);
+  } else {
+    sched.advance_to(last_notify_at_);
+  }
   if (!timed_out) {
     if (ConcurrencyHooks* h = sched.hooks()) {
       h->on_acquire(this, SyncKind::WaitList);
@@ -528,6 +540,8 @@ void WaitList::remove_waiter(VirtualThread& t) {
 }
 
 void WaitList::notify_all(Scheduler& sched, TimePoint at_least) {
+  ++notifies_;
+  last_notify_at_ = at_least;
   if (sched.in_thread()) {
     if (ConcurrencyHooks* h = sched.hooks()) {
       h->on_release(this, SyncKind::WaitList);
@@ -548,6 +562,8 @@ void WaitList::notify_all(Scheduler& sched, TimePoint at_least) {
 
 void WaitList::notify_one(Scheduler& sched, VirtualThread* target,
                           TimePoint at_least) {
+  ++notifies_;
+  last_notify_at_ = at_least;
   if (sched.in_thread()) {
     if (ConcurrencyHooks* h = sched.hooks()) {
       h->on_release(this, SyncKind::WaitList);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -193,6 +194,32 @@ TEST(Scheduler, RescheduleYieldsToEqualClockPeers) {
   s.spawn("b", [&] { order.push_back("b0"); });
   s.run();
   EXPECT_EQ(order, (std::vector<std::string>{"a0", "b0", "a1"}));
+}
+
+TEST(Scheduler, StressYieldsNeverLoseAWakeup) {
+  // A stress point may hand the CPU to an equal-clock peer before a
+  // primitive checks its condition, never between the check and the
+  // enqueue: a peer that unlocks or sets in that window would wake nobody,
+  // and the waiter would block forever.
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+    Scheduler s;
+    s.enable_stress(seed);
+    Mutex m{"m"};
+    Latch latch;
+    s.spawn("owner", [&] {
+      m.lock(s);
+      s.advance(1_us);
+      m.unlock(s);
+      latch.set(s);
+    });
+    s.spawn("waiter", [&] {
+      s.advance(1_us);
+      m.lock(s);
+      m.unlock(s);
+      latch.wait(s);
+    });
+    EXPECT_NO_THROW(s.run()) << "stress seed " << seed;
+  }
 }
 
 }  // namespace
