@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
       table.add_row({thp ? "2 MB (THP)" : "4 KB", to_string(cfg),
                      r.wall_time.to_string(), r.ledger.mm().to_string(),
                      r.ledger.mi().to_string(),
-                     stats::TextTable::count(r.kernels.total_page_faults),
+                     stats::TextTable::count(r.totals().page_faults),
                      stats::TextTable::num(copy_wall / r.wall_time, 2)});
     }
   }

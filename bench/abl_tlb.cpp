@@ -29,13 +29,13 @@ int main(int argc, char** argv) {
                                .seed = args.seed};
     opts.costs = costs;
     const workloads::RunResult r = workloads::run_program(program, opts);
-    const double share = r.kernels.total_tlb_stall / r.wall_time;
+    const hsa::DeviceCounters k = r.totals();
+    const double share = k.tlb_stall / r.wall_time;
     table.add_row({std::to_string(entries),
-                   stats::TextTable::count(r.kernels.launches > 0
-                                               ? r.kernels.total_tlb_stall.ns() /
-                                                     costs.tlb_walk.ns()
-                                               : 0),
-                   r.kernels.total_tlb_stall.to_string(), r.wall_time.to_string(),
+                   stats::TextTable::count(
+                       k.kernels > 0 ? k.tlb_stall.ns() / costs.tlb_walk.ns()
+                                     : 0),
+                   k.tlb_stall.to_string(), r.wall_time.to_string(),
                    stats::TextTable::num(100.0 * share, 1) + "%"});
   }
   table.print(std::cout);

@@ -36,8 +36,8 @@ int main(int argc, char** argv) {
 
   stats::TextTable table{{"metric", "Implicit Z-C", "Eager Maps"}};
   table.add_row({"wall time", zc.wall_time.to_string(), eager.wall_time.to_string()});
-  table.add_row({"GPU page faults", stats::TextTable::count(zc.kernels.total_page_faults),
-                 stats::TextTable::count(eager.kernels.total_page_faults)});
+  table.add_row({"GPU page faults", stats::TextTable::count(zc.totals().page_faults),
+                 stats::TextTable::count(eager.totals().page_faults)});
   table.add_row({"fault stall (MI)", zc.ledger.mi().to_string(),
                  eager.ledger.mi().to_string()});
   table.add_row({"svm_attributes_set calls",
@@ -81,9 +81,10 @@ int main(int argc, char** argv) {
     windows.add_row({"first " + std::to_string(first), z.to_string(),
                      e.to_string(), (z - e).to_string()});
   }
-  windows.add_row({"whole run", zc.kernels.total_time.to_string(),
-                   eager.kernels.total_time.to_string(),
-                   (zc.kernels.total_time - eager.kernels.total_time).to_string()});
+  const sim::Duration zc_gpu = zc.totals().gpu_time;
+  const sim::Duration eager_gpu = eager.totals().gpu_time;
+  windows.add_row({"whole run", zc_gpu.to_string(), eager_gpu.to_string(),
+                   (zc_gpu - eager_gpu).to_string()});
   windows.print(std::cout);
   return 0;
 }

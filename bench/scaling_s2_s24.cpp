@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
     params.steps = steps;
     const workloads::RunResult r = workloads::run_program(
         workloads::make_qmcpack(params), {.config = cfg, .seed = args.seed});
-    return Cell{r.kernels.total_time, r.stats.total_time(), r.wall_time};
+    return Cell{r.totals().gpu_time, r.stats.total_time(), r.wall_time};
   };
 
   stats::TextTable table{{"config", "metric", "S2", "S24", "S24/S2"}};

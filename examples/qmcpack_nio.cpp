@@ -60,12 +60,13 @@ int main(int argc, char** argv) {
 
   std::printf("wall time      : %s\n", r.wall_time.to_string().c_str());
   std::printf("checksum       : %.6f\n", r.checksum);
+  const hsa::DeviceCounters k = r.totals();
   std::printf("kernel launches: %llu (GPU time %s, fault stalls %s)\n",
-              static_cast<unsigned long long>(r.kernels.launches),
-              r.kernels.total_time.to_string().c_str(),
-              r.kernels.total_fault_stall.to_string().c_str());
+              static_cast<unsigned long long>(k.kernels),
+              k.gpu_time.to_string().c_str(),
+              k.fault_stall.to_string().c_str());
   std::printf("page faults    : %llu\n",
-              static_cast<unsigned long long>(r.kernels.total_page_faults));
+              static_cast<unsigned long long>(k.page_faults));
   std::printf("MM overhead    : %s (alloc %s, copy %s, prefault %s)\n",
               r.ledger.mm().to_string().c_str(),
               r.ledger.mm_alloc().to_string().c_str(),
@@ -78,13 +79,7 @@ int main(int argc, char** argv) {
 
   if (!ktrace_path.empty()) {
     std::ofstream out{ktrace_path};
-    out << "name,thread,start_us,dur_us,compute_us,fault_us,tlb_us,faults\n";
-    for (const auto& rec : r.kernel_records) {
-      out << rec.name << ',' << rec.host_thread << ','
-          << rec.start.since_start().us() << ',' << rec.duration().us() << ','
-          << rec.compute.us() << ',' << rec.fault_stall.us() << ','
-          << rec.tlb_stall.us() << ',' << rec.page_faults << '\n';
-    }
+    trace::write_kernel_csv(out, r.kernel_records);
     std::printf("\nwrote kernel trace: %s (%zu launches)\n",
                 ktrace_path.c_str(), r.kernel_records.size());
   }

@@ -10,9 +10,7 @@
 
 #include <cstdio>
 
-#include "zc/core/cost.hpp"
-#include "zc/core/host_array.hpp"
-#include "zc/core/offload_stack.hpp"
+#include "zc/apuzc.hpp"
 
 using namespace zc;
 using omp::RuntimeConfig;
@@ -90,7 +88,9 @@ Outcome run_fig2(RuntimeConfig config, std::size_t n) {
   out.wall = stack.sched().horizon().since_start();
   out.copies = stack.hsa().stats().count(trace::HsaCall::MemoryAsyncCopy);
   out.allocs = stack.hsa().stats().count(trace::HsaCall::MemoryPoolAllocate);
-  out.faults = stack.hsa().kernel_trace().summary().total_page_faults;
+  for (const hsa::DeviceCounters& dc : stack.hsa().device_counters()) {
+    out.faults += dc.page_faults;
+  }
   return out;
 }
 

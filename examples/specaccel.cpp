@@ -97,9 +97,10 @@ int main(int argc, char** argv) {
 
   std::printf("wall time   : %s\n", r.wall_time.to_string().c_str());
   std::printf("checksum    : %.3f\n", r.checksum);
+  const hsa::DeviceCounters k = r.totals();
   std::printf("kernels     : %llu launches, %s GPU time\n",
-              static_cast<unsigned long long>(r.kernels.launches),
-              r.kernels.total_time.to_string().c_str());
+              static_cast<unsigned long long>(k.kernels),
+              k.gpu_time.to_string().c_str());
   std::printf("MM overhead : %s  -> Table III order %s\n",
               r.ledger.mm().to_string().c_str(),
               trace::order_of_magnitude_us(r.ledger.mm()));
@@ -107,7 +108,7 @@ int main(int argc, char** argv) {
               r.ledger.mi().to_string().c_str(),
               trace::order_of_magnitude_us(r.ledger.mi()));
   std::printf("page faults : %llu\n",
-              static_cast<unsigned long long>(r.kernels.total_page_faults));
+              static_cast<unsigned long long>(k.page_faults));
   std::printf("prefaults   : %llu calls, %s\n",
               static_cast<unsigned long long>(r.ledger.prefault_calls()),
               r.ledger.mm_prefault().to_string().c_str());

@@ -44,7 +44,6 @@
 #include "zc/stats/summary.hpp"
 #include "zc/stats/table.hpp"
 #include "zc/trace/call_stats.hpp"
-#include "zc/trace/call_trace.hpp"
 #include "zc/trace/kernel_trace.hpp"
 #include "zc/trace/overhead_ledger.hpp"
 #include "zc/workloads/openfoam.hpp"

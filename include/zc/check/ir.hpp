@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -185,11 +186,22 @@ class Recorder {
   /// Next nowait-pairing token for the calling thread.
   [[nodiscard]] std::uint64_t issue_token(sim::Scheduler& sched);
 
+  /// Tie the recording to its source: while `source` is alive, a runtime
+  /// may still record here. `OffloadRuntime::set_recorder` passes a token
+  /// that lives exactly as long as the runtime.
+  void set_source(std::weak_ptr<const void> source) {
+    source_ = std::move(source);
+  }
+
   /// Seal the recording into an analyzable IR: sort streams by thread
   /// name, sort buffers by base, and assign each buffer its deterministic
   /// symbolic label (the plain name when unique run-wide, otherwise
-  /// "name@thread#nth").
-  [[nodiscard]] OffloadIR build() const;
+  /// "name@thread#nth"). While the source lives the IR is a copy, so a
+  /// build on a live stack (to count ops) and one after teardown (to
+  /// analyze) both see the whole recording. Once the source is gone the
+  /// ops and buffers move into the IR, so a finished recording is never
+  /// held twice.
+  [[nodiscard]] OffloadIR build();
 
  private:
   struct RawStream {
@@ -199,11 +211,14 @@ class Recorder {
     std::uint64_t tokens = 0;
   };
   RawStream& stream_for(sim::Scheduler& sched);
+  /// `build`'s body: moves the ops and buffers into the IR.
+  [[nodiscard]] OffloadIR seal();
 
   std::uint64_t page_bytes_;
   std::unordered_map<int, std::size_t> by_thread_;  ///< thread id -> index
   std::vector<RawStream> streams_;
   std::vector<IrBuffer> buffers_;
+  std::weak_ptr<const void> source_;
 };
 
 /// RAII suppression scope used by the runtime's composite entry points.

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -395,6 +396,9 @@ class OffloadRuntime {
   std::vector<mem::AddrRange> global_ranges_;
   std::vector<mem::VirtAddr> image_allocs_;
   check::Recorder* recorder_ = nullptr;
+  /// Lives exactly as long as this runtime; an attached recorder holds a
+  /// weak reference to learn when its recording has ended.
+  std::shared_ptr<const int> alive_ = std::make_shared<const int>(0);
 };
 
 }  // namespace zc::omp

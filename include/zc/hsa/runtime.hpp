@@ -14,7 +14,6 @@
 #include "zc/mem/memory_system.hpp"
 #include "zc/sim/scheduler.hpp"
 #include "zc/trace/call_stats.hpp"
-#include "zc/trace/call_trace.hpp"
 #include "zc/trace/copy_trace.hpp"
 #include "zc/trace/fault_trace.hpp"
 #include "zc/trace/kernel_trace.hpp"
@@ -83,8 +82,10 @@ struct PrefaultResult {
 
 /// Per-device (per-socket) accumulators, maintained by every API call. They
 /// answer "what did each APU do" for multi-device runs: kernels and their
-/// faults from the dispatch path, copies from the SDMA path (attributed to
-/// the engine's device), migrations from `migrate_pages`.
+/// faults and time split from the dispatch path, copies from the SDMA path
+/// (attributed to the engine's device), migrations from `migrate_pages`.
+/// The multi-tenant service keeps one more row per tenant, bumped at the
+/// same kernel and copy sites (see `configure_tenants`).
 struct DeviceCounters {
   std::uint64_t kernels = 0;
   std::uint64_t remote_kernels = 0;  ///< launches touching remote-homed bytes
@@ -96,19 +97,15 @@ struct DeviceCounters {
   std::uint64_t migrated_pages = 0;  ///< pages migrated onto this device
   std::uint64_t evicted_pages = 0;   ///< pages spilled to DDR by reclaim here
   std::uint64_t promoted_pages = 0;  ///< DDR pages promoted back by this device
-};
+  sim::Duration gpu_time;     ///< summed kernel durations on the GPU
+  sim::Duration compute;      ///< their modeled compute portion
+  /// Their fault-term portion: XNACK fault service, plus the pressure
+  /// driver work folded into a kernel's stall even when it had no faults
+  /// (so this is not Table III's MI, which `OverheadLedger::mi` holds).
+  sim::Duration fault_stall;
+  sim::Duration tlb_stall;    ///< their page-table walk portion
 
-/// Per-tenant accumulators for the multi-tenant service (`zc::service`):
-/// which tenant's jobs consumed the GPU queues and SDMA engines. Bumped at
-/// the same dispatch/copy sites as `DeviceCounters`, attributed via the
-/// calling fiber's tenant registration (`set_thread_tenant`). Runs without
-/// a service registration attribute to no tenant (the vector stays empty
-/// unless `configure_tenants` was called).
-struct TenantCounters {
-  std::uint64_t kernels = 0;
-  std::uint64_t copies = 0;
-  std::uint64_t copy_bytes = 0;
-  std::uint64_t page_faults = 0;
+  DeviceCounters& operator+=(const DeviceCounters& o);
 };
 
 /// The simulated ROCr/HSA runtime: the API surface the OpenMP offload
@@ -237,8 +234,6 @@ class Runtime {
   [[nodiscard]] mem::MemorySystem& memory() { return mem_; }
   [[nodiscard]] trace::CallStats& stats() { return stats_; }
   [[nodiscard]] const trace::CallStats& stats() const { return stats_; }
-  [[nodiscard]] trace::KernelTrace& kernel_trace() { return ktrace_; }
-  [[nodiscard]] trace::CopyTrace& copy_trace() { return cptrace_; }
   /// Per-device accumulators, indexed by socket (post-run snapshots).
   [[nodiscard]] const std::vector<DeviceCounters>& device_counters() const {
     return devstats_;
@@ -250,13 +245,24 @@ class Runtime {
   /// the registration). The service worker calls this once per job it
   /// picks up.
   void set_thread_tenant(int tenant);
-  /// Per-tenant accumulators, indexed by tenant (post-run snapshots; empty
-  /// unless `configure_tenants` was called).
-  [[nodiscard]] const std::vector<TenantCounters>& tenant_counters() const {
+  /// Per-tenant accumulators, indexed by tenant: the same counters as a
+  /// device row, over the kernels and copies the tenant's fibers issued
+  /// (post-run snapshots; empty unless `configure_tenants` was called).
+  [[nodiscard]] const std::vector<DeviceCounters>& tenant_counters() const {
     return tenantstats_;
   }
-  /// Per-call timeline trace (opt-in; aggregate stats are always on).
-  [[nodiscard]] trace::CallTrace& call_trace() { return ctrace_; }
+  /// Keep one `KernelRecord` per launch and one `CopyRecord` per SDMA
+  /// transfer. Off by default: the counters above always hold the sums, and
+  /// records grow with run length.
+  void set_keep_records(bool keep) { keep_records_ = keep; }
+  [[nodiscard]] bool keep_records() const { return keep_records_; }
+  [[nodiscard]] const std::vector<trace::KernelRecord>& kernel_records()
+      const {
+    return kernel_records_;
+  }
+  [[nodiscard]] const std::vector<trace::CopyRecord>& copy_records() const {
+    return copy_records_;
+  }
   [[nodiscard]] trace::OverheadLedger& ledger() { return ledger_; }
   [[nodiscard]] const trace::FaultTrace& fault_trace() const { return ftrace_; }
   /// The hang detector; configured from the environment's
@@ -278,12 +284,9 @@ class Runtime {
  private:
   [[nodiscard]] sim::Scheduler& sched() { return machine_.sched(); }
 
-  /// Record into the aggregate stats and (when enabled) the call trace.
-  void record_call(trace::HsaCall call, sim::TimePoint start,
-                   sim::Duration latency);
-
-  /// Tenant the calling fiber registered via `set_thread_tenant`, or -1.
-  [[nodiscard]] int current_tenant();
+  /// Add one kernel's or copy's counts to `device`'s row and to the row
+  /// of the tenant the calling fiber registered, if any.
+  void count(int device, const DeviceCounters& delta);
 
   /// Build the forever-incomplete signal of a hang-injected operation:
   /// name it, record the injection, and register it with the watchdog.
@@ -309,16 +312,16 @@ class Runtime {
   mem::MemorySystem& mem_;
   Watchdog watchdog_;
   trace::CallStats stats_;
-  trace::CallTrace ctrace_;
-  trace::KernelTrace ktrace_;
-  trace::CopyTrace cptrace_;
   trace::OverheadLedger ledger_;
   trace::FaultTrace ftrace_;
   std::vector<DeviceCounters> devstats_;
   /// Per-tenant accumulators and the fiber-id -> tenant registration map
   /// behind them (see `set_thread_tenant`).
-  std::vector<TenantCounters> tenantstats_;
+  std::vector<DeviceCounters> tenantstats_;
   std::unordered_map<int, int> thread_tenants_;
+  bool keep_records_ = false;
+  std::vector<trace::KernelRecord> kernel_records_;
+  std::vector<trace::CopyRecord> copy_records_;
 };
 
 }  // namespace zc::hsa

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "zc/sim/time.hpp"
 
@@ -19,50 +18,6 @@ struct CopyRecord {
 
   [[nodiscard]] bool cross_socket() const { return src_socket != dst_socket; }
   [[nodiscard]] sim::Duration duration() const { return end - start; }
-};
-
-/// Aggregates over a copy-trace window.
-struct CopyTraceSummary {
-  std::uint64_t copies = 0;
-  std::uint64_t cross_socket_copies = 0;
-  std::uint64_t total_bytes = 0;
-  sim::Duration total_time;
-};
-
-/// In-memory SDMA copy trace, symmetric with `KernelTrace`: summaries are
-/// always kept, individual records are opt-in (Copy-configuration runs
-/// issue one transfer per mapped buffer per region).
-class CopyTrace {
- public:
-  void set_keep_records(bool keep) { keep_records_ = keep; }
-  [[nodiscard]] bool keep_records() const { return keep_records_; }
-
-  void record(CopyRecord rec) {
-    ++summary_.copies;
-    if (rec.cross_socket()) {
-      ++summary_.cross_socket_copies;
-    }
-    summary_.total_bytes += rec.bytes;
-    summary_.total_time += rec.duration();
-    if (keep_records_) {
-      records_.push_back(rec);
-    }
-  }
-
-  [[nodiscard]] const std::vector<CopyRecord>& records() const {
-    return records_;
-  }
-  [[nodiscard]] const CopyTraceSummary& summary() const { return summary_; }
-
-  void reset() {
-    records_.clear();
-    summary_ = CopyTraceSummary{};
-  }
-
- private:
-  bool keep_records_ = true;
-  std::vector<CopyRecord> records_;
-  CopyTraceSummary summary_;
 };
 
 }  // namespace zc::trace

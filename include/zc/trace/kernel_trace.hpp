@@ -2,8 +2,8 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "zc/sim/time.hpp"
 
@@ -27,47 +27,8 @@ struct KernelRecord {
   [[nodiscard]] sim::Duration duration() const { return end - start; }
 };
 
-/// Aggregates over a trace window.
-struct KernelTraceSummary {
-  std::uint64_t launches = 0;
-  sim::Duration total_time;
-  sim::Duration total_compute;
-  sim::Duration total_fault_stall;
-  sim::Duration total_tlb_stall;
-  std::uint64_t total_page_faults = 0;
-};
-
-/// In-memory kernel trace. Recording individual launches can be switched
-/// off (summaries are always kept), which matters for full-fidelity QMCPack
-/// runs with hundreds of thousands of launches.
-class KernelTrace {
- public:
-  void set_keep_records(bool keep) { keep_records_ = keep; }
-  [[nodiscard]] bool keep_records() const { return keep_records_; }
-
-  void record(KernelRecord rec);
-
-  [[nodiscard]] const std::vector<KernelRecord>& records() const {
-    return records_;
-  }
-  [[nodiscard]] const KernelTraceSummary& summary() const { return summary_; }
-
-  /// Summary restricted to the first `n` launches (used for the paper's
-  /// "first hundred kernel launches" analysis). Requires kept records.
-  [[nodiscard]] KernelTraceSummary summarize_first(std::uint64_t n) const;
-
-  void reset();
-
-  /// One line per record: name, thread, times, faults.
-  void dump(std::ostream& os) const;
-
-  /// "name,thread,start_us,dur_us,compute_us,fault_us,tlb_us,faults" rows.
-  void write_csv(std::ostream& os) const;
-
- private:
-  bool keep_records_ = true;
-  std::vector<KernelRecord> records_;
-  KernelTraceSummary summary_;
-};
+/// "name,thread,start_us,dur_us,compute_us,fault_us,tlb_us,faults" rows,
+/// one per launch, after a header line.
+void write_kernel_csv(std::ostream& os, std::span<const KernelRecord> records);
 
 }  // namespace zc::trace

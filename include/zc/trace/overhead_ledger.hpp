@@ -32,17 +32,13 @@ class OverheadLedger {
     mm_prefault_ += d;
     ++prefault_calls_;
   }
-  void add_first_touch(sim::Duration d, std::uint64_t faults) {
-    mi_ += d;
-    faults_ += faults;
-  }
+  void add_first_touch(sim::Duration d) { mi_ += d; }
 
   [[nodiscard]] sim::Duration mm() const { return mm_; }
   [[nodiscard]] sim::Duration mm_alloc() const { return mm_alloc_; }
   [[nodiscard]] sim::Duration mm_copy() const { return mm_copy_; }
   [[nodiscard]] sim::Duration mm_prefault() const { return mm_prefault_; }
   [[nodiscard]] sim::Duration mi() const { return mi_; }
-  [[nodiscard]] std::uint64_t page_faults() const { return faults_; }
   [[nodiscard]] std::uint64_t prefault_calls() const { return prefault_calls_; }
 
   void reset() { *this = OverheadLedger{}; }
@@ -53,7 +49,6 @@ class OverheadLedger {
   sim::Duration mm_copy_;
   sim::Duration mm_prefault_;
   sim::Duration mi_;
-  std::uint64_t faults_ = 0;
   std::uint64_t prefault_calls_ = 0;
 };
 

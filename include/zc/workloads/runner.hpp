@@ -10,7 +10,6 @@
 #include "zc/sim/jitter.hpp"
 #include "zc/stats/repetition.hpp"
 #include "zc/trace/call_stats.hpp"
-#include "zc/trace/copy_trace.hpp"
 #include "zc/trace/decision_trace.hpp"
 #include "zc/trace/fault_trace.hpp"
 #include "zc/trace/kernel_trace.hpp"
@@ -115,9 +114,10 @@ struct DeviceStats {
 };
 
 /// Per-tenant SLO telemetry of a `zc::service` run, filled by the service
-/// layer's deterministic stats pipeline (quantiles from a
-/// `stats::QuantileSketch` over job sojourn latencies, counts exact).
-/// Plain doubles/integers so `RunResult` stays value-copyable.
+/// layer's deterministic stats pipeline at finalize. Counts are exact; each
+/// quantile is the order statistic at rank floor(p * (n - 1)) over the
+/// sojourns of the tenant's n completed jobs. Plain values so `RunResult`
+/// stays value-copyable.
 struct TenantServiceStats {
   int tenant = 0;
   std::uint64_t weight = 1;      ///< DRR weight (higher = more service)
@@ -134,8 +134,9 @@ struct TenantServiceStats {
   double p999_us = 0.0;
   double goodput_jps = 0.0;  ///< completed jobs per second of makespan
   double checksum = 0.0;     ///< completed-job checksums, id-ordered sum
-  /// GPU-queue / SDMA-engine consumption attributed by the HSA layer.
-  hsa::TenantCounters counters;
+  /// GPU-queue / SDMA-engine consumption attributed by the HSA layer: the
+  /// kernel and copy counters of a device row, over this tenant's work.
+  hsa::DeviceCounters counters;
 };
 
 /// Everything one run produces.
@@ -146,14 +147,10 @@ struct RunResult {
   /// divided by host wall-clock this is the `bench/micro_des` events/sec.
   std::uint64_t sim_events = 0;
   trace::CallStats stats;
-  trace::KernelTraceSummary kernels;
   trace::OverheadLedger ledger;
   double checksum = 0.0;
   /// Per-launch records (only when RunOptions::keep_kernel_records).
   std::vector<trace::KernelRecord> kernel_records;
-  /// SDMA transfer summary and (with keep_kernel_records) its records.
-  trace::CopyTraceSummary copies;
-  std::vector<trace::CopyRecord> copy_records;
   /// One entry per socket; size 1 on single-APU runs.
   std::vector<DeviceStats> devices;
   /// Adaptive Maps policy decisions (empty for the static configurations).
@@ -179,6 +176,9 @@ struct RunResult {
   /// Page-stamp split of a pruned detector run (both 0 otherwise).
   std::uint64_t race_pruned_stamps = 0;
   std::uint64_t race_checked_stamps = 0;
+
+  /// Node-wide counters: the sum of every device's row.
+  [[nodiscard]] hsa::DeviceCounters totals() const;
 };
 
 /// Build the stack, run the program to completion, snapshot the telemetry.

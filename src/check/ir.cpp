@@ -107,16 +107,23 @@ std::uint64_t Recorder::issue_token(sim::Scheduler& sched) {
   return (idx << 32) | ++s.tokens;
 }
 
-OffloadIR Recorder::build() const {
+OffloadIR Recorder::build() {
+  // A runtime that is still alive may record more: seal a copy.
+  return source_.expired() ? seal() : Recorder{*this}.seal();
+}
+
+OffloadIR Recorder::seal() {
   OffloadIR ir;
   ir.page_bytes = page_bytes_;
   ir.threads.reserve(streams_.size());
-  for (const RawStream& s : streams_) {
+  for (RawStream& s : streams_) {
     if (s.ops.empty()) {
       continue;
     }
-    ir.threads.push_back(ThreadStream{s.thread, s.ops});
+    ir.threads.push_back(ThreadStream{s.thread, std::move(s.ops)});
   }
+  ir.buffers = std::move(buffers_);
+  buffers_.clear();
   std::sort(ir.threads.begin(), ir.threads.end(),
             [](const ThreadStream& a, const ThreadStream& b) {
               return a.thread < b.thread;
@@ -125,7 +132,6 @@ OffloadIR Recorder::build() const {
   // Assign per-(thread, name) occurrence indices in allocation order —
   // per-thread program order, so invariant across stress seeds — then a
   // label that is the bare name when unique run-wide.
-  ir.buffers = buffers_;
   std::map<std::pair<std::string, std::string>, std::uint64_t> occurrence;
   std::map<std::string, std::uint64_t> by_name;
   for (IrBuffer& b : ir.buffers) {

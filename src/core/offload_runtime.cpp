@@ -201,7 +201,11 @@ mem::VirtAddr OffloadRuntime::global_host_addr(const std::string& name) {
 
 void OffloadRuntime::set_recorder(check::Recorder* recorder) {
   recorder_ = recorder;
-  if (recorder_ == nullptr || !image_loaded_) {
+  if (recorder_ == nullptr) {
+    return;
+  }
+  recorder_->set_source(alive_);
+  if (!image_loaded_) {
     return;  // a later load_image registers the globals
   }
   for (const auto& [name, base] : global_host_) {

@@ -17,6 +17,24 @@ Runtime::Runtime(apu::Machine& machine, mem::MemorySystem& mem)
                 [this](trace::FaultRecord r) { record_fault(r); }},
       devstats_(static_cast<std::size_t>(mem.sockets())) {}
 
+DeviceCounters& DeviceCounters::operator+=(const DeviceCounters& o) {
+  kernels += o.kernels;
+  remote_kernels += o.remote_kernels;
+  page_faults += o.page_faults;
+  tlb_misses += o.tlb_misses;
+  copies += o.copies;
+  copy_bytes += o.copy_bytes;
+  cross_socket_copies += o.cross_socket_copies;
+  migrated_pages += o.migrated_pages;
+  evicted_pages += o.evicted_pages;
+  promoted_pages += o.promoted_pages;
+  gpu_time += o.gpu_time;
+  compute += o.compute;
+  fault_stall += o.fault_stall;
+  tlb_stall += o.tlb_stall;
+  return *this;
+}
+
 void Runtime::configure_tenants(int tenants) {
   tenantstats_.resize(tenants > 0 ? static_cast<std::size_t>(tenants) : 0);
 }
@@ -29,12 +47,16 @@ void Runtime::set_thread_tenant(int tenant) {
   }
 }
 
-int Runtime::current_tenant() {
+void Runtime::count(int device, const DeviceCounters& delta) {
+  devstats_.at(static_cast<std::size_t>(device)) += delta;
   if (thread_tenants_.empty()) {
-    return -1;
+    return;
   }
   const auto it = thread_tenants_.find(sched().current().id());
-  return it == thread_tenants_.end() ? -1 : it->second;
+  if (it != thread_tenants_.end() &&
+      static_cast<std::size_t>(it->second) < tenantstats_.size()) {
+    tenantstats_[static_cast<std::size_t>(it->second)] += delta;
+  }
 }
 
 Signal Runtime::hung_signal(std::string name, trace::FaultEvent event,
@@ -44,14 +66,6 @@ Signal Runtime::hung_signal(std::string name, trace::FaultEvent event,
   record_fault(event, device, range);
   watchdog_.watch(sig, device);
   return sig;
-}
-
-void Runtime::record_call(trace::HsaCall call, TimePoint start,
-                          Duration latency) {
-  stats_.record(call, latency);
-  if (ctrace_.enabled()) {
-    ctrace_.record(call, sched().current().id(), start, latency);
-  }
 }
 
 void Runtime::record_fault(trace::FaultRecord r) { ftrace_.record(r); }
@@ -68,18 +82,16 @@ void Runtime::record_fault(trace::FaultEvent event, int device,
 
 Signal Runtime::signal_create() {
   const Duration cost = Duration::from_us(0.2);
-  const TimePoint start = sched().now();
   sched().advance(cost);
-  record_call(trace::HsaCall::SignalCreate, start, cost);
+  stats_.record(trace::HsaCall::SignalCreate, cost);
   return Signal{};
 }
 
 void Runtime::signal_wait_scacquire(Signal s) {
   const Duration overhead = machine_.costs().signal_wait_overhead;
-  const TimePoint start = sched().now();
   const Duration blocked = s.wait(sched());
   sched().advance(overhead);
-  record_call(trace::HsaCall::SignalWaitScacquire, start, blocked + overhead);
+  stats_.record(trace::HsaCall::SignalWaitScacquire, blocked + overhead);
 }
 
 Runtime::ReclaimCharge Runtime::reclaim_to(int device,
@@ -168,7 +180,7 @@ PoolAllocResult Runtime::try_memory_pool_allocate(std::uint64_t bytes,
     const TimePoint start = sched().now();
     const sim::Interval iv = machine_.driver(device).reserve(start, dur);
     sched().advance_to(iv.end);
-    record_call(trace::HsaCall::MemoryPoolAllocate, start, dur);
+    stats_.record(trace::HsaCall::MemoryPoolAllocate, dur);
     if (count_in_ledger) {
       ledger_.add_alloc(dur);
     }
@@ -192,7 +204,7 @@ PoolAllocResult Runtime::try_memory_pool_allocate(std::uint64_t bytes,
   const TimePoint start = sched().now();
   const sim::Interval iv = machine_.driver(device).reserve(start, dur);
   sched().advance_to(iv.end);
-  record_call(trace::HsaCall::MemoryPoolAllocate, start, dur);
+  stats_.record(trace::HsaCall::MemoryPoolAllocate, dur);
   if (count_in_ledger) {
     ledger_.add_alloc(dur);
   }
@@ -228,7 +240,7 @@ void Runtime::memory_pool_free(mem::VirtAddr base) {
   const sim::Interval iv = machine_.driver(socket).reserve(start, dur);
   sched().advance_to(iv.end);
   mem_.pool_free(base);
-  record_call(trace::HsaCall::MemoryPoolFree, start, dur);
+  stats_.record(trace::HsaCall::MemoryPoolFree, dur);
   ledger_.add_alloc(dur);
 }
 
@@ -332,34 +344,27 @@ Signal Runtime::memory_async_copy(mem::VirtAddr dst, mem::VirtAddr src,
     sig.set_name("sdma-copy@" + dst.to_string());
     sig.complete(sched(), done);
   }
-  record_call(trace::HsaCall::MemoryAsyncCopy, start, setup + engine_time);
+  stats_.record(trace::HsaCall::MemoryAsyncCopy, setup + engine_time);
   if (count_in_ledger) {
     ledger_.add_copy(setup + engine_time);
   }
-  cptrace_.record(trace::CopyRecord{.device = device,
-                                    .src_socket = src_sock,
-                                    .dst_socket = dst_sock,
-                                    .submit = start,
-                                    .start = iv.start,
-                                    .end = done,
-                                    .bytes = bytes});
-  DeviceCounters& dc = devstats_.at(static_cast<std::size_t>(device));
-  ++dc.copies;
-  dc.copy_bytes += bytes;
-  if (src_sock != dst_sock) {
-    ++dc.cross_socket_copies;
+  if (keep_records_) {
+    copy_records_.push_back(trace::CopyRecord{.device = device,
+                                              .src_socket = src_sock,
+                                              .dst_socket = dst_sock,
+                                              .submit = start,
+                                              .start = iv.start,
+                                              .end = done,
+                                              .bytes = bytes});
   }
-  if (const int tenant = current_tenant();
-      tenant >= 0 && static_cast<std::size_t>(tenant) < tenantstats_.size()) {
-    TenantCounters& tc = tenantstats_[static_cast<std::size_t>(tenant)];
-    ++tc.copies;
-    tc.copy_bytes += bytes;
-  }
+  count(device, {.copies = 1,
+                 .copy_bytes = bytes,
+                 .cross_socket_copies = src_sock != dst_sock ? 1U : 0U});
   if (with_handler && !sdma_stall) {
     // Host-side completion callback bookkeeping (a stalled copy's handler
     // never fires).
     const Duration handler_cost = Duration::from_us(1.0);
-    record_call(trace::HsaCall::SignalAsyncHandler, done, handler_cost);
+    stats_.record(trace::HsaCall::SignalAsyncHandler, handler_cost);
   }
   return sig;
 }
@@ -388,7 +393,7 @@ PrefaultResult Runtime::try_svm_attributes_set_prefault(mem::AddrRange range,
     const TimePoint start = sched().now();
     const sim::Interval iv = machine_.driver(device).reserve(start, dur);
     sched().advance_to(iv.end);
-    record_call(trace::HsaCall::SvmAttributesSet, start, dur);
+    stats_.record(trace::HsaCall::SvmAttributesSet, dur);
     ledger_.add_prefault(dur);
     Signal stuck = hung_signal("svm-prefault@" + range.base.to_string(),
                                trace::FaultEvent::PrefaultHangInjected, device,
@@ -404,7 +409,7 @@ PrefaultResult Runtime::try_svm_attributes_set_prefault(mem::AddrRange range,
     const TimePoint start = sched().now();
     const sim::Interval iv = machine_.driver(device).reserve(start, dur);
     sched().advance_to(iv.end);
-    record_call(trace::HsaCall::SvmAttributesSet, start, dur);
+    stats_.record(trace::HsaCall::SvmAttributesSet, dur);
     const bool eintr = inj.kind == fault::Kind::Eintr;
     record_fault(eintr ? trace::FaultEvent::EintrInjected
                        : trace::FaultEvent::EbusyInjected,
@@ -429,7 +434,7 @@ PrefaultResult Runtime::try_svm_attributes_set_prefault(mem::AddrRange range,
   const TimePoint start = sched().now();
   const sim::Interval iv = machine_.driver(device).reserve(start, dur);
   sched().advance_to(iv.end);
-  record_call(trace::HsaCall::SvmAttributesSet, start, dur);
+  stats_.record(trace::HsaCall::SvmAttributesSet, dur);
   if (out.promoted > 0) {
     record_fault(trace::FaultEvent::PagesPromoted, device,
                  {range.base, out.promoted * mem_.page_bytes()});
@@ -471,7 +476,7 @@ std::uint64_t Runtime::migrate_pages(mem::AddrRange range, int device) {
     const Duration dur = machine_.jittered_syscall(c.prefault_syscall_base);
     const sim::Interval iv = machine_.driver(device).reserve(start, dur);
     sched().advance_to(iv.end);
-    record_call(trace::HsaCall::SvmAttributesSet, start, dur);
+    stats_.record(trace::HsaCall::SvmAttributesSet, dur);
     return 0;
   }
   // Per-page unmap on the old home, data movement across the fabric, then
@@ -494,7 +499,7 @@ std::uint64_t Runtime::migrate_pages(mem::AddrRange range, int device) {
   }
   const sim::Interval d_iv = machine_.driver(device).reserve(x_iv.end, per_side);
   sched().advance_to(d_iv.end);
-  record_call(trace::HsaCall::SvmAttributesSet, start, d_iv.end - start);
+  stats_.record(trace::HsaCall::SvmAttributesSet, d_iv.end - start);
   ledger_.add_prefault(d_iv.end - start);
   devstats_.at(static_cast<std::size_t>(device)).migrated_pages += moved;
   return moved;
@@ -512,7 +517,7 @@ Signal Runtime::dispatch_kernel(const KernelLaunch& launch, int host_thread,
   const sim::Interval lock_iv =
       machine_.runtime_lock().reserve(submit, dispatch_cost);
   sched().advance_to(lock_iv.end);
-  record_call(trace::HsaCall::QueueDispatch, submit, dispatch_cost);
+  stats_.record(trace::HsaCall::QueueDispatch, dispatch_cost);
   const TimePoint dispatched = max(sched().now(), not_before);
 
   // An injected queue error hangs the dispatch before the kernel executes:
@@ -847,36 +852,33 @@ Signal Runtime::dispatch_kernel(const KernelLaunch& launch, int host_thread,
   }
 
   if (faults > 0) {
-    ledger_.add_first_touch(fault_term, faults);
+    ledger_.add_first_touch(fault_term);
   }
-  ktrace_.record(trace::KernelRecord{
-      .name = launch.name,
-      .host_thread = host_thread,
-      .device = launch.device,
-      .dispatch = dispatched,
-      .start = gi.start,
-      .end = gi.end,
-      .compute = compute,
-      .fault_stall = fault_term,
-      .tlb_stall = tlb_time,
-      .page_faults = faults,
-      .tlb_misses = tlb_misses,
-      .remote_bytes = remote_bytes,
-  });
-  DeviceCounters& dc = devstats_.at(static_cast<std::size_t>(launch.device));
-  ++dc.kernels;
-  dc.page_faults += faults;
-  dc.tlb_misses += tlb_misses;
-  dc.promoted_pages += promoted;
-  if (remote_bytes > 0) {
-    ++dc.remote_kernels;
+  if (keep_records_) {
+    kernel_records_.push_back(trace::KernelRecord{
+        .name = launch.name,
+        .host_thread = host_thread,
+        .device = launch.device,
+        .dispatch = dispatched,
+        .start = gi.start,
+        .end = gi.end,
+        .compute = compute,
+        .fault_stall = fault_term,
+        .tlb_stall = tlb_time,
+        .page_faults = faults,
+        .tlb_misses = tlb_misses,
+        .remote_bytes = remote_bytes,
+    });
   }
-  if (const int tenant = current_tenant();
-      tenant >= 0 && static_cast<std::size_t>(tenant) < tenantstats_.size()) {
-    TenantCounters& tc = tenantstats_[static_cast<std::size_t>(tenant)];
-    ++tc.kernels;
-    tc.page_faults += faults;
-  }
+  count(launch.device, {.kernels = 1,
+                        .remote_kernels = remote_bytes > 0 ? 1U : 0U,
+                        .page_faults = faults,
+                        .tlb_misses = tlb_misses,
+                        .promoted_pages = promoted,
+                        .gpu_time = gi.end - gi.start,
+                        .compute = compute,
+                        .fault_stall = fault_term,
+                        .tlb_stall = tlb_time});
 
   Signal sig;
   sig.set_name("kernel:" + launch.name);

@@ -14,7 +14,6 @@
 #include "zc/core/target_region.hpp"
 #include "zc/fault/engine.hpp"
 #include "zc/mem/memory_system.hpp"
-#include "zc/stats/quantile_sketch.hpp"
 
 namespace zc::service {
 
@@ -37,7 +36,6 @@ struct TenantAgg {
       : breaker{threshold, window, cooldown} {}
 
   workloads::TenantServiceStats stats;
-  stats::QuantileSketch sojourn_us;
   omp::CircuitBreaker breaker;
   bool paused = false;        ///< de-admitted by memory pressure
   std::uint64_t running = 0;  ///< jobs of this tenant currently in flight
@@ -339,7 +337,6 @@ double retire_job(Core& c, const ServiceParams& p, const Dispatch& d,
     ++a.stats.completed;
     a.completed.emplace_back(d.spec.id,
                              workloads::service_job_checksum(d.spec, page));
-    a.sojourn_us.record((now - d.arrival).us());
     rec.outcome = trace::ServiceJobOutcome::Completed;
   } else {
     ++a.stats.failed;
@@ -591,10 +588,18 @@ ServiceResult run_service(const ServiceParams& params) {
     // Post-run, scheduler drained: unguarded access is the sanctioned
     // quiescent-reader pattern.
     Core& c = sh->core.unguarded();
-    const std::vector<hsa::TenantCounters>& counters =
+    const std::vector<hsa::DeviceCounters>& counters =
         stack.hsa().tenant_counters();
     const Duration makespan =
         c.saw_arrival ? c.last_retire - c.first_arrival : Duration::zero();
+    // Each tenant's completed-job sojourns, for its exact quantiles.
+    std::vector<std::vector<double>> sojourn_us(c.tenants.size());
+    for (const trace::ServiceJobRecord& r : c.records) {
+      if (r.outcome == trace::ServiceJobOutcome::Completed) {
+        sojourn_us[static_cast<std::size_t>(r.tenant)].push_back(
+            r.sojourn().us());
+      }
+    }
     double total = 0.0;
     sh->final_stats.clear();
     for (int t = 0; t < params.config.tenants; ++t) {
@@ -606,10 +611,17 @@ ServiceResult run_service(const ServiceParams& params) {
       }
       a.stats.checksum = checksum;
       total += checksum;
-      if (a.sojourn_us.count() > 0) {
-        a.stats.p50_us = a.sojourn_us.quantile(0.50);
-        a.stats.p99_us = a.sojourn_us.quantile(0.99);
-        a.stats.p999_us = a.sojourn_us.quantile(0.999);
+      std::vector<double>& us = sojourn_us[static_cast<std::size_t>(t)];
+      if (!us.empty()) {
+        std::sort(us.begin(), us.end());
+        // The order statistic at rank floor(p * (n - 1)).
+        const auto at = [&us](double p) {
+          return us[static_cast<std::size_t>(
+              p * static_cast<double>(us.size() - 1))];
+        };
+        a.stats.p50_us = at(0.50);
+        a.stats.p99_us = at(0.99);
+        a.stats.p999_us = at(0.999);
       }
       if (makespan > Duration::zero()) {
         a.stats.goodput_jps =

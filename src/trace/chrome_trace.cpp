@@ -19,11 +19,6 @@ void write_escaped(std::ostream& os, const std::string& s) {
 
 }  // namespace
 
-void ChromeTraceWriter::add(const CallTrace& calls) {
-  call_events_.insert(call_events_.end(), calls.records().begin(),
-                      calls.records().end());
-}
-
 void ChromeTraceWriter::add(const std::vector<KernelRecord>& kernels) {
   kernel_events_.insert(kernel_events_.end(), kernels.begin(), kernels.end());
 }
@@ -69,13 +64,6 @@ void ChromeTraceWriter::write(std::ostream& os) const {
       os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << lane.pid
          << ",\"args\":{\"name\":\"" << lane.name << "\"}}";
     }
-  }
-  for (const CallRecord& r : call_events_) {
-    sep();
-    os << "{\"name\":\"" << to_string(r.call)
-       << "\",\"ph\":\"X\",\"pid\":1,\"tid\":" << r.host_thread
-       << ",\"ts\":" << r.start.since_start().us()
-       << ",\"dur\":" << r.latency.us() << ",\"cat\":\"hsa\"}";
   }
   for (const KernelRecord& k : kernel_events_) {
     sep();

@@ -1,59 +1,17 @@
 #include "zc/trace/kernel_trace.hpp"
 
-#include <algorithm>
 #include <ostream>
-#include <utility>
 
 namespace zc::trace {
 
-void KernelTrace::record(KernelRecord rec) {
-  ++summary_.launches;
-  summary_.total_time += rec.duration();
-  summary_.total_compute += rec.compute;
-  summary_.total_fault_stall += rec.fault_stall;
-  summary_.total_tlb_stall += rec.tlb_stall;
-  summary_.total_page_faults += rec.page_faults;
-  if (keep_records_) {
-    records_.push_back(std::move(rec));
-  }
-}
-
-KernelTraceSummary KernelTrace::summarize_first(std::uint64_t n) const {
-  KernelTraceSummary s;
-  const std::uint64_t limit = std::min<std::uint64_t>(n, records_.size());
-  for (std::uint64_t i = 0; i < limit; ++i) {
-    const KernelRecord& r = records_[i];
-    ++s.launches;
-    s.total_time += r.duration();
-    s.total_compute += r.compute;
-    s.total_fault_stall += r.fault_stall;
-    s.total_tlb_stall += r.tlb_stall;
-    s.total_page_faults += r.page_faults;
-  }
-  return s;
-}
-
-void KernelTrace::reset() {
-  records_.clear();
-  summary_ = KernelTraceSummary{};
-}
-
-void KernelTrace::write_csv(std::ostream& os) const {
+void write_kernel_csv(std::ostream& os,
+                      std::span<const KernelRecord> records) {
   os << "name,thread,start_us,dur_us,compute_us,fault_us,tlb_us,faults\n";
-  for (const KernelRecord& r : records_) {
+  for (const KernelRecord& r : records) {
     os << r.name << ',' << r.host_thread << ','
        << r.start.since_start().us() << ',' << r.duration().us() << ','
        << r.compute.us() << ',' << r.fault_stall.us() << ','
        << r.tlb_stall.us() << ',' << r.page_faults << '\n';
-  }
-}
-
-void KernelTrace::dump(std::ostream& os) const {
-  for (const KernelRecord& r : records_) {
-    os << r.name << " thread=" << r.host_thread << " start="
-       << r.start.to_string() << " dur=" << r.duration().to_string()
-       << " faults=" << r.page_faults << " fault_stall="
-       << r.fault_stall.to_string() << " tlb_misses=" << r.tlb_misses << '\n';
   }
 }
 

@@ -58,8 +58,7 @@ namespace {
   omp::OffloadStack stack{
       std::move(machine_config),
       omp::OffloadStack::program_for(options.config, program.binary)};
-  stack.hsa().kernel_trace().set_keep_records(options.keep_kernel_records);
-  stack.hsa().copy_trace().set_keep_records(options.keep_kernel_records);
+  stack.hsa().set_keep_records(options.keep_kernel_records);
   if (options.stress_seed) {
     stack.sched().enable_stress(*options.stress_seed);
   }
@@ -78,13 +77,8 @@ namespace {
   result.wall_time = stack.sched().horizon().since_start();
   result.sim_events = stack.sched().events();
   result.stats = stack.hsa().stats();
-  result.kernels = stack.hsa().kernel_trace().summary();
   result.ledger = stack.hsa().ledger();
-  if (options.keep_kernel_records) {
-    result.kernel_records = stack.hsa().kernel_trace().records();
-    result.copy_records = stack.hsa().copy_trace().records();
-  }
-  result.copies = stack.hsa().copy_trace().summary();
+  result.kernel_records = stack.hsa().kernel_records();
   {
     const std::vector<hsa::DeviceCounters>& counters =
         stack.hsa().device_counters();
@@ -129,6 +123,14 @@ using WallClock = std::chrono::steady_clock;
 }
 
 }  // namespace
+
+hsa::DeviceCounters RunResult::totals() const {
+  hsa::DeviceCounters sum;
+  for (const DeviceStats& ds : devices) {
+    sum += ds.counters;
+  }
+  return sum;
+}
 
 RunResult run_program(const Program& program, const RunOptions& options) {
   if (!program.setup_threads) {

@@ -198,6 +198,37 @@ TEST(CheckIr, DeclareTargetGlobalsRegisterAsGlobalBuffers) {
   EXPECT_TRUE(found);
 }
 
+TEST(CheckIr, FinishedRecordingMovesIntoTheIrInsteadOfBeingCopied) {
+  Recorder rec{omp::OffloadStack::machine_config_for(
+                   omp::RuntimeConfig::ImplicitZeroCopy)
+                   .env.page_bytes()};
+  auto stack = make_stack();
+  stack->omp().set_recorder(&rec);
+  stack->sched().run_single([&] {
+    OffloadRuntime& rt = stack->omp();
+    HostArray<double> x{rt, 64, "x"};
+    x.first_touch();
+    rt.target(TargetRegion{.name = "k",
+                           .maps = {x.tofrom()},
+                           .compute = 1_us,
+                           .body = {}});
+    x.release();
+  });
+  // While the runtime lives it may still record, so each build is a copy:
+  // counting ops on the live stack leaves the analysis its whole input.
+  const OffloadIR live = rec.build();
+  ASSERT_GT(live.op_count(), 0u);
+  EXPECT_EQ(rec.build().op_count(), live.op_count());
+  // Once it is gone the recording is complete and moves out, once.
+  stack.reset();
+  const OffloadIR done = rec.build();
+  EXPECT_EQ(done.op_count(), live.op_count());
+  EXPECT_EQ(done.buffers.size(), live.buffers.size());
+  const OffloadIR again = rec.build();
+  EXPECT_EQ(again.op_count(), 0u);
+  EXPECT_TRUE(again.buffers.empty());
+}
+
 TEST(CheckIr, RecordingIsInertWhenNoRecorderInstalled) {
   // Guard against accidental coupling: a stack without a recorder runs
   // the same program without touching any recording state.

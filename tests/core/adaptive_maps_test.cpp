@@ -90,7 +90,7 @@ TEST(AdaptiveMaps, HostTouchedSinglePageGoesZeroCopy) {
   EXPECT_EQ(records[0].decision, Decision::ZeroCopy);
   EXPECT_EQ(records[0].pages, 1u);
   // The kernel paid for that choice with a real demand fault.
-  EXPECT_GT(stack->hsa().ledger().page_faults(), 0u);
+  EXPECT_GT(stack->hsa().device_counters()[0].page_faults, 0u);
 }
 
 TEST(AdaptiveMaps, SteadyStateHitsTheCacheThenRevisesOnce) {

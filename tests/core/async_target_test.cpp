@@ -174,6 +174,7 @@ TEST(DevicePtrApi, NullifiesZeroCopyBenefit) {
 
 TEST(AsyncTarget, DependentTasksSerializeOnTheGpu) {
   auto stack = make_stack(RuntimeConfig::ImplicitZeroCopy);
+  stack->hsa().set_keep_records(true);
   stack->sched().run_single([&] {
     OffloadRuntime& rt = stack->omp();
     HostArray<double> a{rt, 64, "a"};
@@ -191,7 +192,7 @@ TEST(AsyncTarget, DependentTasksSerializeOnTheGpu) {
     rt.target_wait(t1);
     rt.target_wait(t2);
   });
-  const auto& recs = stack->hsa().kernel_trace().records();
+  const auto& recs = stack->hsa().kernel_records();
   // Find the two steady-state kernels (skip none: only two launched).
   ASSERT_EQ(recs.size(), 2u);
   EXPECT_GE(recs[1].start, recs[0].end);  // dependence respected
@@ -199,6 +200,7 @@ TEST(AsyncTarget, DependentTasksSerializeOnTheGpu) {
 
 TEST(AsyncTarget, IndependentTasksStillOverlap) {
   auto stack = make_stack(RuntimeConfig::ImplicitZeroCopy);
+  stack->hsa().set_keep_records(true);
   stack->sched().run_single([&] {
     OffloadRuntime& rt = stack->omp();
     HostArray<double> a{rt, 64, "a"};
@@ -215,7 +217,7 @@ TEST(AsyncTarget, IndependentTasksStillOverlap) {
     rt.target_wait(t1);
     rt.target_wait(t2);
   });
-  const auto& recs = stack->hsa().kernel_trace().records();
+  const auto& recs = stack->hsa().kernel_records();
   ASSERT_EQ(recs.size(), 2u);
   EXPECT_LT(recs[1].start, recs[0].end);  // concurrent on the slots
 }

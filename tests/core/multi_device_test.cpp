@@ -59,7 +59,8 @@ TEST(MultiDevice, KernelsFaultPerDevice) {
     rt.target(on0);
     rt.target(on1);  // same host range faults again on the other socket
   });
-  EXPECT_EQ(stack->hsa().kernel_trace().summary().total_page_faults, 8u);
+  const auto& dc = stack->hsa().device_counters();
+  EXPECT_EQ(dc[0].page_faults + dc[1].page_faults, 8u);
 }
 
 TEST(MultiDevice, RemoteMemoryPenalizesKernelCompute) {
@@ -74,7 +75,7 @@ TEST(MultiDevice, RemoteMemoryPenalizesKernelCompute) {
     rt.host_first_touch(mem::AddrRange{near, 1 << 20});
     rt.host_first_touch(mem::AddrRange{far, 1 << 20});
     auto run_on0 = [&](mem::VirtAddr buf) {
-      const auto before = stack->hsa().kernel_trace().summary().total_compute;
+      const auto before = stack->hsa().device_counters()[0].compute;
       rt.target(TargetRegion{
           .name = "probe",
           .maps = {MapEntry::tofrom(buf, 1 << 20)},
@@ -82,7 +83,7 @@ TEST(MultiDevice, RemoteMemoryPenalizesKernelCompute) {
           .body = {},
           .device = 0,
       });
-      return stack->hsa().kernel_trace().summary().total_compute - before;
+      return stack->hsa().device_counters()[0].compute - before;
     };
     local = run_on0(near);
     remote = run_on0(far);
@@ -262,7 +263,7 @@ TEST(MultiDevice, MigrationMakesRemoteMemoryLocal) {
     const mem::VirtAddr buf = rt.host_alloc(bytes, "buf", /*home_socket=*/0);
     rt.host_first_touch(mem::AddrRange{buf, bytes});
     auto run_on1 = [&] {
-      const auto before = stack->hsa().kernel_trace().summary().total_compute;
+      const auto before = stack->hsa().device_counters()[1].compute;
       rt.target(TargetRegion{
           .name = "probe",
           .maps = {MapEntry::tofrom(buf, bytes)},
@@ -270,7 +271,7 @@ TEST(MultiDevice, MigrationMakesRemoteMemoryLocal) {
           .body = {},
           .device = 1,
       });
-      return stack->hsa().kernel_trace().summary().total_compute - before;
+      return stack->hsa().device_counters()[1].compute - before;
     };
     remote = run_on1();
     const std::uint64_t moved =

@@ -301,6 +301,7 @@ TEST(OffloadRuntimeZeroCopy, MapsPerformNoStorageOperations) {
 
 TEST(OffloadRuntimeZeroCopy, FirstKernelFaultsSecondDoesNot) {
   auto stack = make_stack(RuntimeConfig::ImplicitZeroCopy);
+  stack->hsa().set_keep_records(true);
   stack->sched().run_single([&] {
     OffloadRuntime& rt = stack->omp();
     const std::uint64_t page = stack->machine().page_bytes();
@@ -312,7 +313,7 @@ TEST(OffloadRuntimeZeroCopy, FirstKernelFaultsSecondDoesNot) {
     rt.target(region);
     rt.target(region);
   });
-  const auto& recs = stack->hsa().kernel_trace().records();
+  const auto& recs = stack->hsa().kernel_records();
   ASSERT_EQ(recs.size(), 2u);
   EXPECT_EQ(recs[0].page_faults, 8u);
   EXPECT_EQ(recs[1].page_faults, 0u);
@@ -336,7 +337,7 @@ TEST(OffloadRuntimeEager, PrefaultsOnEveryMapAndKernelsNeverFault) {
   });
   const auto& stats = stack->hsa().stats();
   EXPECT_EQ(stats.count(HsaCall::SvmAttributesSet), 3u);  // one per map begin
-  EXPECT_EQ(stack->hsa().kernel_trace().summary().total_page_faults, 0u);
+  EXPECT_EQ(stack->hsa().device_counters()[0].page_faults, 0u);
   EXPECT_GT(stack->hsa().ledger().mm_prefault(), sim::Duration::zero());
   EXPECT_EQ(stack->hsa().ledger().mi(), sim::Duration::zero());
 }
@@ -356,7 +357,7 @@ TEST(OffloadRuntimeEager, WorksWithXnackDisabled) {
                         .body = {}};
     rt.target(region);  // prefault makes XNACK unnecessary
   });
-  EXPECT_EQ(stack.hsa().kernel_trace().summary().total_page_faults, 0u);
+  EXPECT_EQ(stack.hsa().device_counters()[0].page_faults, 0u);
 }
 
 TEST(OffloadRuntimeGlobals, UsmIndirectionSeesHostUpdatesWithoutMapping) {

@@ -53,6 +53,7 @@ Outcome run(const std::string& faults) {
   mc.env.ompx_apu_faults = faults;
   mc.env.race_check = apu::RaceCheckMode::Report;
   OffloadStack stack{std::move(mc), {}};
+  stack.hsa().set_keep_records(true);
   sim::Scheduler& sched = stack.sched();
   OffloadRuntime& rt = stack.omp();
   Outcome out;
@@ -104,12 +105,12 @@ Outcome run(const std::string& faults) {
   });
   sched.run();
 
-  for (const trace::KernelRecord& k : stack.hsa().kernel_trace().records()) {
+  for (const trace::KernelRecord& k : stack.hsa().kernel_records()) {
     if (k.name == "sum") {
       out.kernel_start = k.start;
     }
   }
-  for (const trace::CopyRecord& c : stack.hsa().copy_trace().records()) {
+  for (const trace::CopyRecord& c : stack.hsa().copy_records()) {
     if (c.bytes == x->bytes()) {
       out.x_copies.push_back(c);
     }

@@ -61,6 +61,7 @@ TEST(MapSanitizer, ChecksEveryDevice) {
 
 TEST(KernelTraceCsv, EmitsOneRowPerLaunch) {
   auto stack = make_stack(RuntimeConfig::ImplicitZeroCopy);
+  stack->hsa().set_keep_records(true);
   stack->sched().run_single([&] {
     OffloadRuntime& rt = stack->omp();
     HostArray<double> x{rt, 64, "x"};
@@ -71,7 +72,7 @@ TEST(KernelTraceCsv, EmitsOneRowPerLaunch) {
     x.release();
   });
   std::ostringstream os;
-  stack->hsa().kernel_trace().write_csv(os);
+  trace::write_kernel_csv(os, stack->hsa().kernel_records());
   const std::string out = os.str();
   EXPECT_NE(out.find("name,thread,start_us"), std::string::npos);
   EXPECT_NE(out.find("csvk,0,"), std::string::npos);

@@ -374,7 +374,11 @@ TEST(WatchdogRecovery, AdaptiveMapsConsumesBreakerState) {
   stack->sched().run_single([&] {
     OffloadRuntime& rt = stack->omp();
     for (int r = 0; r < 4; ++r) {
-      HostArray<double> x{rt, 1024, "x" + std::to_string(r)};
+      // Appended piece by piece: GCC 12 flags `"literal" + std::to_string(n)`
+      // with a false-positive -Wrestrict.
+      std::string name = "x";
+      name += std::to_string(r);
+      HostArray<double> x{rt, 1024, std::move(name)};
       for (std::size_t i = 0; i < 1024; ++i) {
         x[i] = static_cast<double>(i);
       }

@@ -159,6 +159,7 @@ TEST_F(FaultInjectionTest, ReplayStormInflatesFaultStall) {
   // servicing: the faulting kernel must take measurably longer.
   const auto faulting_kernel_duration = [&](const std::string& spec) {
     make(spec);
+    rt_->set_keep_records(true);
     Duration d;
     run([&] {
       mem::Allocation& a = mem_->os_alloc(8 * machine_->page_bytes(), "buf");
@@ -167,7 +168,7 @@ TEST_F(FaultInjectionTest, ReplayStormInflatesFaultStall) {
                      .compute = 10_us,
                      .body = {}};
       rt_->run_kernel(k);
-      d = rt_->kernel_trace().records()[0].duration();
+      d = rt_->kernel_records()[0].duration();
     });
     return d;
   };

@@ -17,7 +17,9 @@ using trace::HsaCall;
 
 class HsaRuntimeTest : public ::testing::Test {
  protected:
-  HsaRuntimeTest() : machine_{apu::Machine::mi300a()}, mem_{machine_}, rt_{machine_, mem_} {}
+  HsaRuntimeTest() : machine_{apu::Machine::mi300a()}, mem_{machine_}, rt_{machine_, mem_} {
+    rt_.set_keep_records(true);
+  }
 
   /// Run `body` on a single virtual host thread.
   void run(std::function<void()> body) {
@@ -66,7 +68,7 @@ TEST_F(HsaRuntimeTest, PoolMemoryNeedsNoKernelFaults) {
                    .body = {}};
     rt_.run_kernel(k);
   });
-  EXPECT_EQ(rt_.kernel_trace().summary().total_page_faults, 0u);
+  EXPECT_EQ(rt_.device_counters()[0].page_faults, 0u);
   EXPECT_EQ(rt_.ledger().mi(), Duration::zero());
 }
 
@@ -80,7 +82,7 @@ TEST_F(HsaRuntimeTest, OsMemoryFaultsOnceUnderXnack) {
     rt_.run_kernel(k);
     rt_.run_kernel(k);  // second launch: pages already resident
   });
-  const auto& recs = rt_.kernel_trace().records();
+  const auto& recs = rt_.kernel_records();
   ASSERT_EQ(recs.size(), 2u);
   EXPECT_EQ(recs[0].page_faults, 8u);
   EXPECT_EQ(recs[1].page_faults, 0u);
@@ -103,7 +105,7 @@ TEST_F(HsaRuntimeTest, FaultStallMatchesPerPageServiceCost) {
   });
   const Duration expect = machine_.fault_service_duration(true) * 2.0 +
                           machine_.fault_service_duration(false) * 2.0;
-  EXPECT_EQ(rt_.kernel_trace().records()[0].fault_stall, expect);
+  EXPECT_EQ(rt_.kernel_records()[0].fault_stall, expect);
 }
 
 TEST_F(HsaRuntimeTest, XnackDisabledThrowsOnUnmappedTouch) {
@@ -138,7 +140,7 @@ TEST_F(HsaRuntimeTest, XnackDisabledOkAfterPrefault) {
                    .body = {}};
     rt.run_kernel(k);
   });
-  EXPECT_EQ(rt.kernel_trace().summary().total_page_faults, 0u);
+  EXPECT_EQ(rt.device_counters()[0].page_faults, 0u);
 }
 
 /// A buffer that starts two pages into a prefaulted 4-page allocation and
@@ -166,8 +168,8 @@ TEST_F(HsaRuntimeTest, BufferPastAPrefaultedAllocationFaultsEveryAbsentPage) {
     rt_.run_kernel(k);
   });
   EXPECT_EQ(absent, 3u);
-  ASSERT_EQ(rt_.kernel_trace().records().size(), 1u);
-  EXPECT_EQ(rt_.kernel_trace().records()[0].page_faults, absent);
+  ASSERT_EQ(rt_.kernel_records().size(), 1u);
+  EXPECT_EQ(rt_.kernel_records()[0].page_faults, absent);
 }
 
 TEST_F(HsaRuntimeTest, XnackDisabledThrowsPastAPrefaultedAllocation) {
@@ -316,7 +318,7 @@ TEST_F(HsaRuntimeTest, TlbMissesReportedInTrace) {
     rt_.run_kernel(k);
     rt_.run_kernel(k);
   });
-  const auto& recs = rt_.kernel_trace().records();
+  const auto& recs = rt_.kernel_records();
   EXPECT_EQ(recs[0].tlb_misses, 8u);  // cold TLB
   EXPECT_EQ(recs[1].tlb_misses, 0u);  // warm TLB (fits in capacity)
 }
@@ -358,7 +360,11 @@ TEST_F(HsaRuntimeTest, KernelsQueueWhenSlotsExhausted) {
     mem::Allocation& a = mem_.os_alloc(machine_.page_bytes(), "a");
     (void)mem_.prefault(a.range());
     for (int i = 0; i < kernels; ++i) {
-      KernelLaunch k{.name = "k" + std::to_string(i),
+      // Appended piece by piece: GCC 12 flags `"literal" + std::to_string(n)`
+      // with a false-positive -Wrestrict.
+      std::string name = "k";
+      name += std::to_string(i);
+      KernelLaunch k{.name = std::move(name),
                      .buffers = {{a.base(), a.bytes(), Access::Read}},
                      .compute = Duration::milliseconds(10),
                      .body = {}};

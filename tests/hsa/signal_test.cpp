@@ -70,7 +70,11 @@ TEST(Signal, MultipleWaitersAllReleased) {
   Signal sig;
   int released = 0;
   for (int t = 0; t < 4; ++t) {
-    s.spawn("w" + std::to_string(t), [&] {
+    // Appended piece by piece: GCC 12 flags `"literal" + std::to_string(n)`
+    // with a false-positive -Wrestrict.
+    std::string name = "w";
+    name += std::to_string(t);
+    s.spawn(std::move(name), [&] {
       (void)sig.wait(s);
       ++released;
       EXPECT_GE(s.now(), TimePoint::zero() + 15_us);
@@ -157,7 +161,11 @@ TEST(Signal, ErrorPayloadSharedAcrossMultiplePreBlockedWaiters) {
   Signal sig;
   int saw = 0;
   for (int t = 0; t < 3; ++t) {
-    s.spawn("w" + std::to_string(t), [&] {
+    // Appended piece by piece: GCC 12 flags `"literal" + std::to_string(n)`
+    // with a false-positive -Wrestrict.
+    std::string name = "w";
+    name += std::to_string(t);
+    s.spawn(std::move(name), [&] {
       (void)sig.wait(s);
       if (sig.errored()) {
         ++saw;

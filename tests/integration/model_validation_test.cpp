@@ -67,9 +67,9 @@ TEST(ModelValidation, StreamTriadKernelRateMatchesGpuBandwidth) {
         .body = {},
     };
     rt.target(triad);
-    const auto before = stack->hsa().kernel_trace().summary().total_time;
+    const auto before = stack->hsa().device_counters()[0].gpu_time;
     rt.target(triad);
-    kernel_time = stack->hsa().kernel_trace().summary().total_time - before;
+    kernel_time = stack->hsa().device_counters()[0].gpu_time - before;
     rt.target_data_end(maps);
   });
   const double achieved = static_cast<double>(streamed) / kernel_time.sec();
@@ -93,7 +93,7 @@ TEST(ModelValidation, FirstTouchSweepCostsFaultServicePerPage) {
         .compute = 1_us,
         .body = {},
     });
-    stall = stack->hsa().kernel_trace().summary().total_fault_stall;
+    stall = stack->hsa().device_counters()[0].fault_stall;
   });
   const sim::Duration expected =
       stack->machine().fault_service_duration(false) *

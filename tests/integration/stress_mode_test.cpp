@@ -4,8 +4,9 @@
 // bit-identical across stress seeds and across all five runtime
 // configurations. The stress scheduler perturbs ready-thread order at every
 // lock/wait point, so this is the differential check that the runtime's
-// locking (PresentTable mutex, trace mutex) — and not a lucky schedule — is
-// what keeps the configurations semantically equivalent.
+// locking (the PresentTable mutex and the present-entry fill wait) — and
+// not a lucky schedule — is what keeps the configurations semantically
+// equivalent.
 
 #include <gtest/gtest.h>
 

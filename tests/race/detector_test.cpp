@@ -51,7 +51,11 @@ TEST(Detector, PoisoningYieldsExactlyOneReportPerVariable) {
   d.attach(s);
   int shared = 0;
   for (int t = 0; t < 4; ++t) {
-    s.spawn("w" + std::to_string(t), [&] {
+    // Appended piece by piece: GCC 12 flags `"literal" + std::to_string(n)`
+    // with a false-positive -Wrestrict.
+    std::string name = "w";
+    name += std::to_string(t);
+    s.spawn(std::move(name), [&] {
       for (int i = 0; i < 8; ++i) {
         race::on_write(s, &shared, sizeof(shared), "hot-field");
       }
@@ -267,7 +271,11 @@ TEST(Detector, ReportsAreIdenticalAcrossStressSeeds) {
     d.attach(s);
     int shared = 0;
     for (int t = 0; t < 2; ++t) {
-      s.spawn("w" + std::to_string(t), [&] {
+      // Appended piece by piece: GCC 12 flags `"literal" + std::to_string(n)`
+      // with a false-positive -Wrestrict.
+      std::string name = "w";
+      name += std::to_string(t);
+      s.spawn(std::move(name), [&] {
         race::on_write(s, &shared, sizeof(int), "seeded-field");
       });
     }
@@ -309,7 +317,11 @@ TEST(Detector, GuardedByAccessesStayCleanUnderStress) {
     sim::Mutex m{"state-mutex"};
     sim::GuardedBy<int> state{m, "guarded-state"};
     for (int t = 0; t < 3; ++t) {
-      s.spawn("t" + std::to_string(t), [&] {
+      // Appended piece by piece: GCC 12 flags `"literal" + std::to_string(n)`
+      // with a false-positive -Wrestrict.
+      std::string name = "t";
+      name += std::to_string(t);
+      s.spawn(std::move(name), [&] {
         sim::LockGuard lock{m, s};
         ++state.get(s);
       });

@@ -56,7 +56,11 @@ TEST(LockOrder, ConsistentNestingIsClean) {
   sim::Mutex a{"outer"};
   sim::Mutex b{"inner"};
   for (int t = 0; t < 3; ++t) {
-    s.spawn("t" + std::to_string(t), [&] {
+    // Appended piece by piece: GCC 12 flags `"literal" + std::to_string(n)`
+    // with a false-positive -Wrestrict.
+    std::string name = "t";
+    name += std::to_string(t);
+    s.spawn(std::move(name), [&] {
       sim::LockGuard la{a, s};
       sim::LockGuard lb{b, s};
     });

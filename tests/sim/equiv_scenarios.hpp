@@ -64,7 +64,11 @@ inline std::string ties_rotation(Scheduler& s) {
 inline std::string mixed_advance_sleep(Scheduler& s) {
   TraceLog log;
   for (int t = 0; t < 6; ++t) {
-    s.spawn("t" + std::to_string(t), [&s, &log, t] {
+    // Appended piece by piece: GCC 12 flags `"literal" + std::to_string(n)`
+    // with a false-positive -Wrestrict.
+    std::string name = "t";
+    name += std::to_string(t);
+    s.spawn(std::move(name), [&s, &log, t] {
       for (int i = 0; i < 12; ++i) {
         s.advance(Duration::nanoseconds(50 + (t * 13 + i * 7) % 40));
         log.record(s);
@@ -117,7 +121,11 @@ inline std::string latch_barrier_fan(Scheduler& s) {
   auto latch = std::make_shared<Latch>();
   auto barrier = std::make_shared<Barrier>(4);
   for (int t = 0; t < 4; ++t) {
-    s.spawn("w" + std::to_string(t), [&s, &log, latch, barrier, t] {
+    // Appended piece by piece: GCC 12 flags `"literal" + std::to_string(n)`
+    // with a false-positive -Wrestrict.
+    std::string name = "w";
+    name += std::to_string(t);
+    s.spawn(std::move(name), [&s, &log, latch, barrier, t] {
       latch->wait(s);
       log.record(s);
       for (int round = 0; round < 3; ++round) {
@@ -149,7 +157,11 @@ inline std::string timeout_vs_notify(Scheduler& s) {
                                 Duration::nanoseconds(100),
                                 Duration::nanoseconds(140)};
   for (int t = 0; t < 3; ++t) {
-    s.spawn("w" + std::to_string(t), [&s, &log, latch, &deadlines, t] {
+    // Appended piece by piece: GCC 12 flags `"literal" + std::to_string(n)`
+    // with a false-positive -Wrestrict.
+    std::string name = "w";
+    name += std::to_string(t);
+    s.spawn(std::move(name), [&s, &log, latch, &deadlines, t] {
       const bool notified = latch->wait_for(s, deadlines[t]);
       log.record(s);
       s.advance(Duration::nanoseconds(notified ? 5 : 9));

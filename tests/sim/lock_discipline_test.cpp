@@ -157,7 +157,11 @@ TEST(LockDiscipline, GuardedByAssertsUnderStressModeToo) {
     GuardedBy<int> counter{m, "counter"};
     int violations = 0;
     for (int t = 0; t < 3; ++t) {
-      s.spawn("t" + std::to_string(t), [&] {
+      // Appended piece by piece: GCC 12 flags `"literal" + std::to_string(n)`
+      // with a false-positive -Wrestrict.
+      std::string name = "t";
+      name += std::to_string(t);
+      s.spawn(std::move(name), [&] {
         try {
           ++counter.get(s);
         } catch (const LockDisciplineError&) {

@@ -191,7 +191,11 @@ TEST(SchedulerPolicyCheck, ContendedMutexRunSatisfiesReferencePolicy) {
     Mutex mutexes[3] = {Mutex{"m0"}, Mutex{"m1"}, Mutex{"m2"}};
     int done = 0;
     for (int t = 0; t < 8; ++t) {
-      s.spawn("t" + std::to_string(t), [&s, &mutexes, &done, t] {
+      // Appended piece by piece: GCC 12 flags `"literal" + std::to_string(n)`
+      // with a false-positive -Wrestrict.
+      std::string name = "t";
+      name += std::to_string(t);
+      s.spawn(std::move(name), [&s, &mutexes, &done, t] {
         for (int i = 0; i < 50; ++i) {
           s.advance(Duration::nanoseconds(10 + (t * 5 + i) % 9));
           LockGuard lock{mutexes[(t + i) % 3], s};
@@ -221,7 +225,11 @@ TEST(SchedulerPolicyCheck, TimedWaitsSatisfyReferencePolicy) {
     int acquired = 0;
     int timed_out = 0;
     for (int t = 0; t < 6; ++t) {
-      s.spawn("t" + std::to_string(t), [&s, &m, &acquired, &timed_out, t] {
+      // Appended piece by piece: GCC 12 flags `"literal" + std::to_string(n)`
+      // with a false-positive -Wrestrict.
+      std::string name = "t";
+      name += std::to_string(t);
+      s.spawn(std::move(name), [&s, &m, &acquired, &timed_out, t] {
         for (int i = 0; i < 12; ++i) {
           s.advance(Duration::nanoseconds(5 + t));
           if (m.try_lock_for(s, Duration::nanoseconds(40 + 10 * (t % 3)))) {

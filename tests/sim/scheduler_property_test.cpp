@@ -34,7 +34,11 @@ std::vector<Step> run_random_program(std::uint64_t seed, int threads) {
     }
   }
   for (int t = 0; t < threads; ++t) {
-    s.spawn("t" + std::to_string(t), [&s, &steps, &plans, t] {
+    // Appended piece by piece: GCC 12 flags `"literal" + std::to_string(n)`
+    // with a false-positive -Wrestrict.
+    std::string name = "t";
+    name += std::to_string(t);
+    s.spawn(std::move(name), [&s, &steps, &plans, t] {
       for (const Duration d : plans[static_cast<std::size_t>(t)]) {
         s.advance(d);
         steps.push_back({t, s.now()});
@@ -92,7 +96,11 @@ TEST_P(SchedulerProperty, HorizonIsMaxStep) {
           static_cast<std::int64_t>(rng.uniform_index(1000))));
       totals[static_cast<std::size_t>(t)] += plan.back();
     }
-    s.spawn("t" + std::to_string(t), [&s, plan] {
+    // Appended piece by piece: GCC 12 flags `"literal" + std::to_string(n)`
+    // with a false-positive -Wrestrict.
+    std::string name = "t";
+    name += std::to_string(t);
+    s.spawn(std::move(name), [&s, plan] {
       for (const Duration d : plan) {
         s.advance(d);
       }
@@ -128,7 +136,11 @@ std::vector<Step> run_stressed_program(std::uint64_t plan_seed,
     }
   }
   for (int t = 0; t < threads; ++t) {
-    s.spawn("t" + std::to_string(t), [&s, &steps, &plans, &mutex, t] {
+    // Appended piece by piece: GCC 12 flags `"literal" + std::to_string(n)`
+    // with a false-positive -Wrestrict.
+    std::string name = "t";
+    name += std::to_string(t);
+    s.spawn(std::move(name), [&s, &steps, &plans, &mutex, t] {
       for (const Duration d : plans[static_cast<std::size_t>(t)]) {
         s.advance(d);
         LockGuard lock{mutex, s};
@@ -222,7 +234,11 @@ TEST(SchedulerStressMode, StressedTiesStillRespectMinClockPolicy) {
   TimePoint last;
   int records = 0;
   for (int t = 0; t < 3; ++t) {
-    s.spawn("t" + std::to_string(t), [&] {
+    // Appended piece by piece: GCC 12 flags `"literal" + std::to_string(n)`
+    // with a false-positive -Wrestrict.
+    std::string name = "t";
+    name += std::to_string(t);
+    s.spawn(std::move(name), [&] {
       for (int i = 0; i < 50; ++i) {
         s.advance(Duration::nanoseconds(100));
         EXPECT_GE(s.now(), last);
@@ -241,7 +257,11 @@ TEST(SchedulerStress, ManyFibersManySwitches) {
   constexpr int kSteps = 200;
   long completed = 0;
   for (int t = 0; t < kThreads; ++t) {
-    s.spawn("t" + std::to_string(t), [&s, &completed, t] {
+    // Appended piece by piece: GCC 12 flags `"literal" + std::to_string(n)`
+    // with a false-positive -Wrestrict.
+    std::string name = "t";
+    name += std::to_string(t);
+    s.spawn(std::move(name), [&s, &completed, t] {
       for (int i = 0; i < kSteps; ++i) {
         s.advance(Duration::nanoseconds(1 + (t + i) % 7));
       }
@@ -264,8 +284,13 @@ TEST(SchedulerStress, SpawnCascade) {
       return;
     }
     for (int c = 0; c < 2; ++c) {
-      s.spawn("d" + std::to_string(depth) + "c" + std::to_string(c),
-              [&spawn_tree, depth] { spawn_tree(depth - 1); });
+      // Appended piece by piece: GCC 12 flags `"literal" + std::to_string(n)`
+      // with a false-positive -Wrestrict.
+      std::string name = "d";
+      name += std::to_string(depth);
+      name += "c";
+      name += std::to_string(c);
+      s.spawn(std::move(name), [&spawn_tree, depth] { spawn_tree(depth - 1); });
     }
   };
   s.spawn("root", [&] { spawn_tree(4); });

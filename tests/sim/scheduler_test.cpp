@@ -49,7 +49,11 @@ TEST(Scheduler, TieBrokenBySpawnOrder) {
   Scheduler s;
   std::vector<int> order;
   for (int i = 0; i < 4; ++i) {
-    s.spawn("t" + std::to_string(i), [&order, i] { order.push_back(i); });
+    // Appended piece by piece: GCC 12 flags `"literal" + std::to_string(n)`
+    // with a false-positive -Wrestrict.
+    std::string name = "t";
+    name += std::to_string(i);
+    s.spawn(std::move(name), [&order, i] { order.push_back(i); });
   }
   s.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
@@ -162,7 +166,11 @@ TEST(Scheduler, ManyThreadsContendDeterministically) {
     Scheduler s;
     std::vector<int> order;
     for (int i = 0; i < 8; ++i) {
-      s.spawn("t" + std::to_string(i), [&s, &order, i] {
+      // Appended piece by piece: GCC 12 flags `"literal" + std::to_string(n)`
+      // with a false-positive -Wrestrict.
+      std::string name = "t";
+      name += std::to_string(i);
+      s.spawn(std::move(name), [&s, &order, i] {
         for (int k = 0; k < 5; ++k) {
           s.advance(Duration::microseconds(1 + (i * 7 + k) % 3));
           order.push_back(i);

@@ -26,22 +26,6 @@ TEST(ChromeTrace, EmptyDocumentIsValidJsonShell) {
   EXPECT_EQ(w.event_count(), 0u);
 }
 
-TEST(ChromeTrace, CallEventsCarryThreadAndTiming) {
-  CallTrace calls;
-  calls.enable();
-  calls.record(HsaCall::QueueDispatch, 3, at(10), 2_us);
-  ChromeTraceWriter w;
-  w.add(calls);
-  std::ostringstream os;
-  w.write(os);
-  const std::string out = os.str();
-  EXPECT_NE(out.find("\"name\":\"hsa_queue_dispatch\""), std::string::npos);
-  EXPECT_NE(out.find("\"tid\":3"), std::string::npos);
-  EXPECT_NE(out.find("\"ts\":10"), std::string::npos);
-  EXPECT_NE(out.find("\"dur\":2"), std::string::npos);
-  EXPECT_EQ(w.event_count(), 1u);
-}
-
 TEST(ChromeTrace, KernelEventsIncludeFaultArguments) {
   KernelRecord k;
   k.name = "nio_drift";
@@ -186,7 +170,7 @@ TEST(ChromeTrace, EndToEndFromARealRun) {
   omp::OffloadStack stack{
       omp::OffloadStack::machine_config_for(omp::RuntimeConfig::LegacyCopy),
       omp::OffloadStack::program_for(omp::RuntimeConfig::LegacyCopy, {})};
-  stack.hsa().call_trace().enable();
+  stack.hsa().set_keep_records(true);
   stack.sched().run_single([&] {
     omp::OffloadRuntime& rt = stack.omp();
     omp::HostArray<double> x{rt, 4096, "x"};
@@ -197,9 +181,12 @@ TEST(ChromeTrace, EndToEndFromARealRun) {
     x.release();
   });
   ChromeTraceWriter w;
-  w.add(stack.hsa().call_trace());
-  w.add(stack.hsa().kernel_trace().records());
-  EXPECT_GT(w.event_count(), 10u);  // image load + maps + kernel + waits
+  w.add(stack.hsa().kernel_records());
+  w.add(stack.hsa().copy_records());
+  // The kernel, plus the image-load and map copies.
+  EXPECT_EQ(stack.hsa().kernel_records().size(), 1u);
+  EXPECT_GT(stack.hsa().copy_records().size(), 0u);
+  EXPECT_EQ(w.event_count(), 1u + stack.hsa().copy_records().size());
 
   std::ostringstream os;
   w.write(os);
@@ -210,6 +197,7 @@ TEST(ChromeTrace, EndToEndFromARealRun) {
   EXPECT_EQ(std::count(out.begin(), out.end(), '['),
             std::count(out.begin(), out.end(), ']'));
   EXPECT_NE(out.find("\"name\":\"traced\""), std::string::npos);
+  EXPECT_NE(out.find("\"name\":\"sdma-copy\""), std::string::npos);
 }
 
 TEST(ChromeTrace, ServiceJobsRenderOnTenantTracks) {

@@ -12,13 +12,12 @@ TEST(OverheadLedger, BucketsAccumulateSeparately) {
   l.add_alloc(10_us);
   l.add_copy(20_us);
   l.add_prefault(5_us);
-  l.add_first_touch(100_us, 3);
+  l.add_first_touch(100_us);
   EXPECT_EQ(l.mm(), 35_us);
   EXPECT_EQ(l.mm_alloc(), 10_us);
   EXPECT_EQ(l.mm_copy(), 20_us);
   EXPECT_EQ(l.mm_prefault(), 5_us);
   EXPECT_EQ(l.mi(), 100_us);
-  EXPECT_EQ(l.page_faults(), 3u);
   EXPECT_EQ(l.prefault_calls(), 1u);
 }
 
@@ -33,11 +32,10 @@ TEST(OverheadLedger, PrefaultCountsIntoMmLikeTableIII) {
 TEST(OverheadLedger, ResetZeroes) {
   OverheadLedger l;
   l.add_copy(20_us);
-  l.add_first_touch(1_us, 1);
+  l.add_first_touch(1_us);
   l.reset();
   EXPECT_EQ(l.mm(), sim::Duration::zero());
   EXPECT_EQ(l.mi(), sim::Duration::zero());
-  EXPECT_EQ(l.page_faults(), 0u);
 }
 
 TEST(OrderOfMagnitude, MatchesTableIIINotation) {

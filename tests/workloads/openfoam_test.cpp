@@ -68,11 +68,11 @@ TEST(Openfoam, KernelsFaultOnFirstTouchOnly) {
       make_openfoam(tiny()), {.config = RuntimeConfig::UnifiedSharedMemory});
   // Matrix + fields fault once; steady state is fault-free. With tiny()
   // everything fits in a handful of pages.
-  EXPECT_GT(r.kernels.total_page_faults, 0u);
-  EXPECT_LT(r.kernels.total_page_faults, 64u);
+  EXPECT_GT(r.totals().page_faults, 0u);
+  EXPECT_LT(r.totals().page_faults, 64u);
   const std::uint64_t kernels = static_cast<std::uint64_t>(
       tiny().time_steps * tiny().pcg_iterations * 3);
-  EXPECT_EQ(r.kernels.launches, kernels);
+  EXPECT_EQ(r.totals().kernels, kernels);
 }
 
 TEST(Openfoam, DeterministicChecksum) {

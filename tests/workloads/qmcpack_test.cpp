@@ -91,8 +91,8 @@ TEST(Qmcpack, EagerMapsIssuesPrefaultsPerMap) {
   EXPECT_EQ(zc.stats.count(HsaCall::SvmAttributesSet), 0u);
   // Eager Maps kernels never page-fault; Implicit Z-C faults on first GPU
   // touch of the spline windows.
-  EXPECT_EQ(eager.kernels.total_page_faults, 0u);
-  EXPECT_GT(zc.kernels.total_page_faults, 0u);
+  EXPECT_EQ(eager.totals().page_faults, 0u);
+  EXPECT_GT(zc.totals().page_faults, 0u);
 }
 
 TEST(Qmcpack, MoreThreadsMoreTotalWork) {
@@ -100,7 +100,7 @@ TEST(Qmcpack, MoreThreadsMoreTotalWork) {
       run_program(make_qmcpack(tiny(1)), {.config = RuntimeConfig::LegacyCopy});
   const RunResult four =
       run_program(make_qmcpack(tiny(4)), {.config = RuntimeConfig::LegacyCopy});
-  EXPECT_GT(four.kernels.launches, one.kernels.launches * 3);
+  EXPECT_GT(four.totals().kernels, one.totals().kernels * 3);
   // Contention means wall time grows, but far less than 4x (work overlaps).
   EXPECT_GT(four.wall_time, one.wall_time);
 }

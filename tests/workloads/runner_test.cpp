@@ -35,7 +35,7 @@ TEST(Runner, RunsAndCollectsTelemetry) {
       run_program(trivial_program(), {.config = RuntimeConfig::LegacyCopy});
   EXPECT_EQ(r.config, RuntimeConfig::LegacyCopy);
   EXPECT_GT(r.wall_time, sim::Duration::zero());
-  EXPECT_EQ(r.kernels.launches, 1u);
+  EXPECT_EQ(r.totals().kernels, 1u);
   EXPECT_GT(r.stats.total_calls(), 0u);
   EXPECT_DOUBLE_EQ(r.checksum, 42.0);
 }
@@ -89,10 +89,10 @@ TEST(Runner, KernelRecordsOptIn) {
   omp::OffloadStack probe{
       omp::OffloadStack::machine_config_for(RuntimeConfig::ImplicitZeroCopy),
       omp::OffloadStack::program_for(RuntimeConfig::ImplicitZeroCopy, {})};
-  // Default run keeps summaries only; records flag is honored.
-  EXPECT_TRUE(probe.hsa().kernel_trace().keep_records());
+  // The runtime keeps counters only unless asked; records flag is honored.
+  EXPECT_FALSE(probe.hsa().keep_records());
   const RunResult off = run_program(p, {.keep_kernel_records = false});
-  EXPECT_EQ(off.kernels.launches, 1u);
+  EXPECT_EQ(off.totals().kernels, 1u);
 }
 
 TEST(Runner, SingleApuRunsReportOneDevice) {

@@ -83,7 +83,7 @@ TEST(SpecStencil, OverheadDecompositionMatchesTableIII) {
   EXPECT_GT(eager.ledger.mm_prefault(), sim::Duration::zero());
   EXPECT_EQ(eager.ledger.mm_copy(), sim::Duration::zero());
   EXPECT_EQ(eager.ledger.mi(), sim::Duration::zero());
-  EXPECT_EQ(eager.kernels.total_page_faults, 0u);
+  EXPECT_EQ(eager.totals().page_faults, 0u);
 }
 
 TEST(SpecStencil, OutputGridFirstTouchDominatesZcMi) {
@@ -94,7 +94,7 @@ TEST(SpecStencil, OutputGridFirstTouchDominatesZcMi) {
       run_program(p, {.config = RuntimeConfig::ImplicitZeroCopy});
   const std::uint64_t grid_pages = (64ULL << 20) / (2ULL << 20);
   // Both grids fault once, plus the one page of the residual scalar.
-  EXPECT_EQ(zc.kernels.total_page_faults, 2 * grid_pages + 1);
+  EXPECT_EQ(zc.totals().page_faults, 2 * grid_pages + 1);
 }
 
 TEST(SpecLbm, ZeroCopySlightlyFasterCopyOfLatticeSkipped) {
@@ -142,7 +142,7 @@ TEST(SpecEp, ArenaFaultsAreNonResident) {
   const RunResult zc =
       run_program(p, {.config = RuntimeConfig::ImplicitZeroCopy});
   // The arena faults page by page, plus the one page of the counts array.
-  EXPECT_EQ(zc.kernels.total_page_faults,
+  EXPECT_EQ(zc.totals().page_faults,
             params.arena_bytes / (2ULL << 20) + 1);
 }
 
@@ -165,7 +165,7 @@ TEST(SpecSpc, FreshStackAddressesFaultEveryCycle) {
   // Both arrays plus the fresh norm scalar fault anew on every cycle.
   const std::uint64_t pages_per_cycle =
       2 * params.array_bytes / (2ULL << 20) + 1;
-  EXPECT_EQ(zc.kernels.total_page_faults,
+  EXPECT_EQ(zc.totals().page_faults,
             pages_per_cycle * static_cast<std::uint64_t>(params.cycles));
 }
 
@@ -267,7 +267,7 @@ TEST(SpecPartitioned, ShardingPreservesSingleDeviceSchedule) {
       make_stencil(one), {.config = RuntimeConfig::ImplicitZeroCopy});
   EXPECT_EQ(a.wall_time, b.wall_time);
   EXPECT_DOUBLE_EQ(a.checksum, b.checksum);
-  EXPECT_EQ(a.kernels.launches, b.kernels.launches);
+  EXPECT_EQ(a.totals().kernels, b.totals().kernels);
 }
 
 }  // namespace
