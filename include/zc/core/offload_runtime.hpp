@@ -385,7 +385,9 @@ class OffloadRuntime {
   /// `table_mutex_` but read without it by `breaker_pinned`: under
   /// cooperative scheduling a plain byte read is safe, and it keeps the
   /// zero-copy hot path lock-free when every breaker is closed (the
-  /// steady state — `table_mutex_` stays a Copy-path-only lock).
+  /// steady state — `table_mutex_` stays a Copy-path-only lock). The flag
+  /// is a hint, not synchronization: a reader that sees it set takes
+  /// `table_mutex_`, whose edge orders it after the breaker's writer.
   std::vector<char> breaker_attention_;
   bool image_load_started_ = false;
   bool image_loaded_ = false;

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -54,9 +53,6 @@ class Watchdog {
     listener_ = std::move(listener);
   }
 
-  /// Total trips so far (aborted operations).
-  [[nodiscard]] std::uint64_t trips() const { return trips_; }
-
  private:
   struct Watched {
     Signal signal;
@@ -74,7 +70,6 @@ class Watchdog {
   std::vector<Watched> watched_;
   sim::WaitList wake_;  // re-arms the fiber when a new watch registers
   bool running_ = false;
-  std::uint64_t trips_ = 0;
 };
 
 }  // namespace zc::hsa

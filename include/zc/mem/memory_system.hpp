@@ -242,7 +242,7 @@ class MemorySystem {
   /// an even split across sockets for interleaved placements, the home
   /// socket otherwise.
   void charge_created(VirtAddr addr, std::uint64_t pages);
-  /// DDR-tier counter writes under the mm-lock monitor.
+  /// DDR-tier counter updates, kept with the allocation's residency.
   void ddr_charge(Allocation& a, std::uint64_t pages);
   void ddr_credit(Allocation& a, std::uint64_t pages);
   /// Promote the DDR-spilled pages of [first, end) back to HBM (GPU fault

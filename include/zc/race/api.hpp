@@ -2,18 +2,19 @@
 
 #include <cstddef>
 #include <string_view>
-#include <utility>
 
 #include "zc/sim/hooks.hpp"
 #include "zc/sim/scheduler.hpp"
 
-/// Access-site instrumentation for the happens-before race detector.
+/// Field-level access stamps for the happens-before race detector.
 ///
-/// These wrappers depend only on `zc::sim` (the hooks interface), so every
-/// layer — including `zc::mem` and `zc::hsa`, which sit *below* the race
-/// library in the dependency DAG — can annotate its shared state without a
-/// link dependency on the detector. With no hooks installed (the default,
-/// `OMPX_APU_RACE_CHECK=off`) each call is one predicted branch.
+/// A test or a replica shim marks a read or write of shared state it wants
+/// checked; the detector then reports any conflicting pair that no program
+/// synchronization (spawn/finish, `Mutex`, `Latch`, `Barrier`, `Signal`,
+/// device tasks) orders. The stamps depend only on `zc::sim` (the hooks
+/// interface), so they need no link dependency on the detector. With no
+/// hooks installed (the default, `OMPX_APU_RACE_CHECK=off`) each call is one
+/// predicted branch.
 namespace zc::race {
 
 /// Record a read of instrumented shared state at `site`.
@@ -31,90 +32,5 @@ inline void on_write(sim::Scheduler& sched, const void* addr,
     h->on_access(addr, bytes, site, /*is_write=*/true);
   }
 }
-
-/// Synchronization performed by a serializing agent the simulator has no
-/// first-class primitive for (the driver's memory-manager lock, the
-/// allocator's internal lock): entering acquires the monitor's clock,
-/// exiting releases into it, so the bracketed sections are totally ordered.
-inline void monitor_enter(sim::Scheduler& sched, const void* monitor) {
-  if (sim::ConcurrencyHooks* h = sched.hooks()) {
-    h->on_acquire(monitor, sim::SyncKind::Monitor);
-  }
-}
-inline void monitor_exit(sim::Scheduler& sched, const void* monitor) {
-  if (sim::ConcurrencyHooks* h = sched.hooks()) {
-    h->on_release(monitor, sim::SyncKind::Monitor);
-  }
-}
-
-/// RAII monitor bracket. The bracketed region must not block or advance
-/// virtual time — a monitor models a lock the agent never holds across a
-/// wait, and a section spanning a yield would order accesses that the
-/// modeled lock does not actually order.
-class MonitorGuard {
- public:
-  MonitorGuard(sim::Scheduler& sched, const void* monitor)
-      : sched_{sched}, monitor_{monitor} {
-    monitor_enter(sched_, monitor_);
-  }
-  ~MonitorGuard() { monitor_exit(sched_, monitor_); }
-  MonitorGuard(const MonitorGuard&) = delete;
-  MonitorGuard& operator=(const MonitorGuard&) = delete;
-
- private:
-  sim::Scheduler& sched_;
-  const void* monitor_;
-};
-
-/// A release-store / acquire-load pair on one word (the modeled equivalent
-/// of `std::atomic` with release/acquire ordering): the store publishes the
-/// writer's clock on the address, the load joins it. Used for deliberate
-/// lock-free flags (e.g. the breaker-attention fast path) that are ordered
-/// by the atomic itself, not by a mutex.
-inline void atomic_store(sim::Scheduler& sched, const void* addr) {
-  if (sim::ConcurrencyHooks* h = sched.hooks()) {
-    h->on_release(addr, sim::SyncKind::Atomic);
-  }
-}
-inline void atomic_load(sim::Scheduler& sched, const void* addr) {
-  if (sim::ConcurrencyHooks* h = sched.hooks()) {
-    h->on_acquire(addr, sim::SyncKind::Atomic);
-  }
-}
-
-/// Shared state wrapped with its instrumentation site: every access goes
-/// through `read()`/`write()`, which stamp the detector's shadow state.
-/// Unlike `GuardedBy`, the wrapper asserts nothing about locks — it is for
-/// state whose ordering the detector itself must prove (or refute).
-template <typename T>
-class RaceTracked {
- public:
-  /// `what` names the state in reports; it must outlive the wrapper
-  /// (string literals do).
-  template <typename... Args>
-  explicit RaceTracked(const char* what, Args&&... args)
-      : what_{what}, value_{std::forward<Args>(args)...} {}
-
-  RaceTracked(const RaceTracked&) = delete;
-  RaceTracked& operator=(const RaceTracked&) = delete;
-
-  [[nodiscard]] const T& read(sim::Scheduler& sched) const {
-    on_read(sched, &value_, sizeof(T), what_);
-    return value_;
-  }
-  [[nodiscard]] T& write(sim::Scheduler& sched) {
-    on_write(sched, &value_, sizeof(T), what_);
-    return value_;
-  }
-
-  /// Uninstrumented access for quiescent phases (pre-run configuration,
-  /// post-run snapshots); call sites carry a comment saying why.
-  [[nodiscard]] T& unchecked() { return value_; }
-  [[nodiscard]] const T& unchecked() const { return value_; }
-
- private:
-  const char* what_;
-  T value_;
-};
 
 }  // namespace zc::race

@@ -37,10 +37,13 @@ class RaceError : public std::runtime_error {
 ///
 /// The detector implements `sim::ConcurrencyHooks`: it maintains one vector
 /// clock per actor (virtual thread or logical device task), joins clocks
-/// along every release/acquire edge the synchronization primitives emit,
-/// and checks each instrumented access — field-level (`race::on_read/
-/// on_write`, `GuardedBy::get`) and page-level (kernel buffer accesses,
-/// host touches) — against per-variable shadow state compressed to epochs:
+/// along every release/acquire edge the program's synchronization emits
+/// (spawn/finish, `Mutex`, `Latch`, `Barrier`, `hsa::Signal`, device-task
+/// begin/end; a `WaitList` emits none), and checks each instrumented
+/// access — field-level (`race::on_read/on_write` stamps; `GuardedBy::get`
+/// emits none, its mutex already orders every access) and page-level
+/// (kernel buffer accesses, host touches, SDMA copies) — against
+/// per-variable shadow state compressed to epochs:
 /// the common same-actor/ordered case is a constant-time comparison, and a
 /// full clock copy is only taken when an access must be retained for
 /// reporting. A conflicting pair with no happens-before path produces one
@@ -149,6 +152,10 @@ class Detector final : public sim::ConcurrencyHooks {
   template <typename NameFn>
   void check(Shadow& shadow, trace::RaceKind kind, NameFn&& name, int slot,
              bool is_write, std::string_view site);
+  /// Check the pages `[first_page, first_page + pages)` accessed by actor
+  /// `slot` (a device task or a host thread), skipping the pruned ones.
+  void stamp_pages(int slot, std::uint64_t first_page, std::uint64_t pages,
+                   bool is_write, std::string_view what);
   void report(trace::RaceKind kind, const std::string& what,
               const Access& prev, const Access& cur);
   [[nodiscard]] std::string page_name(std::uint64_t page) const;

@@ -9,10 +9,10 @@ namespace zc::sim {
 class Mutex;
 
 /// What kind of synchronization object emitted a release/acquire edge.
-/// `Monitor` models serialization that exists in the real system but has no
-/// first-class primitive in the simulator (the driver's memory-manager lock,
-/// the allocator's internal lock); `Atomic` models a lock-free
-/// release-store/acquire-load pair on a single word.
+/// Only `Mutex`, `Latch`, `Barrier` and `Signal` emit any: a `WaitList` is
+/// the blocking mechanism under them and carries no edge of its own, and
+/// nothing in the simulator emits `Monitor` or `Atomic`. Those three stay
+/// in the enum so per-kind counters keep their shape (they read 0).
 enum class SyncKind {
   Mutex,
   Latch,

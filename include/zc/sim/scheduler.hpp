@@ -355,6 +355,12 @@ class Scheduler {
 ///
 /// Used for cross-thread dependencies whose completion time is not yet
 /// known (e.g. an HSA signal that no operation has been bound to yet).
+///
+/// A wait list is a scheduling mechanism, not synchronization: it emits no
+/// `ConcurrencyHooks` event, so a notify orders nothing for the race
+/// detector. A user that hands data to the threads it wakes must pair the
+/// list with a primitive that does emit a release/acquire edge (`Mutex`,
+/// `Latch`, `Barrier`, `hsa::Signal` all carry their own).
 class WaitList {
  public:
   /// Block the current thread until `notify_all` is called.
@@ -375,9 +381,9 @@ class WaitList {
   void notify_all(Scheduler& sched, TimePoint at_least);
 
   /// Wake exactly `target` (which must be a current waiter), or nobody when
-  /// null. Emits the same release edge and runs the same post-notify
-  /// `maybe_yield` as `notify_all`, so an empty notify is still a
-  /// scheduling point. The wake-one half of the Mutex direct handoff.
+  /// null. Runs the same post-notify `maybe_yield` as `notify_all`, so an
+  /// empty notify is still a scheduling point. The wake-one half of the
+  /// Mutex direct handoff.
   void notify_one(Scheduler& sched, VirtualThread* target, TimePoint at_least);
 
   /// Handoff policy: the waiter that would have won the pre-handoff barging

@@ -106,11 +106,6 @@ struct DeviceStats {
   /// Bytes spilled to the DDR tier at the end of the run (node-wide;
   /// reported on every entry for convenience).
   std::uint64_t ddr_used = 0;
-  /// Kernel-duration percentiles in microseconds, from the per-launch
-  /// records (0 unless RunOptions::keep_kernel_records and the device ran
-  /// at least one kernel).
-  double kernel_p50_us = 0.0;
-  double kernel_p95_us = 0.0;
 };
 
 /// Per-tenant SLO telemetry of a `zc::service` run, filled by the service

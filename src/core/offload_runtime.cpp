@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "zc/check/ir.hpp"
-#include "zc/race/api.hpp"
 
 namespace zc::omp {
 
@@ -599,16 +598,9 @@ void OffloadRuntime::note_breaker_trip(int device) {
   record_breaker_transitions(b.record_trip(sched.now()), device);
   breaker_attention_[static_cast<std::size_t>(device)] =
       b.state() != CircuitBreaker::State::Closed ? 1 : 0;
-  // The attention flag is modeled as a release-store/acquire-load atomic:
-  // the lock-free fast-path read below is intentional, so the flag itself
-  // is exempt from data-access checking but still publishes an ordering
-  // edge to readers that observe it.
-  race::atomic_store(sched, &breaker_attention_[static_cast<std::size_t>(device)]);
 }
 
 bool OffloadRuntime::breaker_pinned(int device) {
-  race::atomic_load(hsa_.machine().sched(),
-                    &breaker_attention_[static_cast<std::size_t>(device)]);
   if (breaker_attention_[static_cast<std::size_t>(device)] == 0) {
     return false;  // closed (the steady state): no lock on the hot path
   }
@@ -627,7 +619,6 @@ bool OffloadRuntime::breaker_pinned_locked(int device) {
   record_breaker_transitions(b.advance_to(sched.now()), device);
   breaker_attention_[static_cast<std::size_t>(device)] =
       b.state() != CircuitBreaker::State::Closed ? 1 : 0;
-  race::atomic_store(sched, &breaker_attention_[static_cast<std::size_t>(device)]);
   return b.open();
 }
 

@@ -4,7 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "zc/race/api.hpp"
+#include "zc/sim/hooks.hpp"
 
 namespace zc::mem {
 
@@ -41,25 +41,11 @@ int MemorySystem::home_of(VirtAddr a) const {
   return alloc != nullptr ? alloc->home_socket() : 0;
 }
 
-// The physical-occupancy counters are mutated by every allocating thread and
-// by fault servicing; in a real driver the memory manager's lock orders
-// them. The simulator models that lock as a race-detector monitor keyed on
-// the counter vector — each counter operation is one bracketed section (the
-// sections are pure state, never advancing virtual time), so the detector
-// sees the ordering the mm lock provides while still checking every access.
 void MemorySystem::charge(int socket, std::uint64_t bytes) {
-  sim::Scheduler& sched = machine_.sched();
-  race::MonitorGuard mm{sched, &hbm_used_};
-  race::on_write(sched, &hbm_used_.at(static_cast<std::size_t>(socket)),
-                 sizeof(std::uint64_t), "MemorySystem::hbm_used_");
   hbm_used_.at(static_cast<std::size_t>(socket)) += bytes;
 }
 
 void MemorySystem::credit(int socket, std::uint64_t bytes) {
-  sim::Scheduler& sched = machine_.sched();
-  race::MonitorGuard mm{sched, &hbm_used_};
-  race::on_write(sched, &hbm_used_.at(static_cast<std::size_t>(socket)),
-                 sizeof(std::uint64_t), "MemorySystem::hbm_used_");
   std::uint64_t& used = hbm_used_.at(static_cast<std::size_t>(socket));
   used -= std::min(used, bytes);
 }
@@ -150,19 +136,11 @@ void MemorySystem::charge_created(VirtAddr addr, std::uint64_t pages) {
 }
 
 void MemorySystem::ddr_charge(Allocation& a, std::uint64_t pages) {
-  sim::Scheduler& sched = machine_.sched();
-  race::MonitorGuard mm{sched, &hbm_used_};
-  race::on_write(sched, &ddr_used_, sizeof(std::uint64_t),
-                 "MemorySystem::ddr_used_");
   ddr_used_ += pages * page_bytes();
   a.ddr_resident_add(pages);
 }
 
 void MemorySystem::ddr_credit(Allocation& a, std::uint64_t pages) {
-  sim::Scheduler& sched = machine_.sched();
-  race::MonitorGuard mm{sched, &hbm_used_};
-  race::on_write(sched, &ddr_used_, sizeof(std::uint64_t),
-                 "MemorySystem::ddr_used_");
   const std::uint64_t bytes = pages * page_bytes();
   ddr_used_ -= std::min(ddr_used_, bytes);
   a.ddr_resident_sub(pages);
@@ -171,10 +149,6 @@ void MemorySystem::ddr_credit(Allocation& a, std::uint64_t pages) {
 void MemorySystem::os_free(VirtAddr base) { release(base, MemKind::HostOs); }
 
 bool MemorySystem::pool_fits(std::uint64_t bytes, int socket) const {
-  sim::Scheduler& sched = machine_.sched();
-  race::MonitorGuard mm{sched, &hbm_used_};
-  race::on_read(sched, &hbm_used_.at(static_cast<std::size_t>(socket)),
-                sizeof(std::uint64_t), "MemorySystem::hbm_used_");
   const std::uint64_t pb = space_.page_bytes();
   const std::uint64_t footprint = (bytes + pb - 1) / pb * pb;
   return hbm_used_.at(static_cast<std::size_t>(socket)) + footprint <=

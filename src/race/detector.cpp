@@ -182,19 +182,7 @@ void Detector::on_task_pages(int task, std::uint64_t first_page,
   if (task < 0 || task >= static_cast<int>(actors_.size())) {
     return;
   }
-  if (prune_ != nullptr && prune_->covers_range(first_page, first_page + pages)) {
-    pruned_stamps_ += pages;  // whole access statically proven safe
-    return;
-  }
-  for (std::uint64_t p = first_page; p < first_page + pages; ++p) {
-    if (prune_ != nullptr && prune_->covers(p)) {
-      ++pruned_stamps_;  // statically proven safe: skip the shadow stamp
-      continue;
-    }
-    ++checked_stamps_;
-    check(pages_[p], trace::RaceKind::Page, [&] { return page_name(p); },
-          task, is_write, what);
-  }
+  stamp_pages(task, first_page, pages, is_write, what);
 }
 
 void Detector::on_host_pages(std::uint64_t first_page, std::uint64_t pages,
@@ -203,13 +191,19 @@ void Detector::on_host_pages(std::uint64_t first_page, std::uint64_t pages,
   if (slot < 0) {
     return;
   }
+  stamp_pages(slot, first_page, pages, is_write, what);
+}
+
+void Detector::stamp_pages(int slot, std::uint64_t first_page,
+                           std::uint64_t pages, bool is_write,
+                           std::string_view what) {
   if (prune_ != nullptr && prune_->covers_range(first_page, first_page + pages)) {
-    pruned_stamps_ += pages;
+    pruned_stamps_ += pages;  // whole access statically proven safe
     return;
   }
   for (std::uint64_t p = first_page; p < first_page + pages; ++p) {
     if (prune_ != nullptr && prune_->covers(p)) {
-      ++pruned_stamps_;
+      ++pruned_stamps_;  // statically proven safe: skip the shadow stamp
       continue;
     }
     ++checked_stamps_;

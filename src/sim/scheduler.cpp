@@ -497,9 +497,6 @@ void WaitList::wait(Scheduler& sched, std::string_view what) {
   } else {
     sched.advance_to(last_notify_at_);
   }
-  if (ConcurrencyHooks* h = sched.hooks()) {
-    h->on_acquire(this, SyncKind::WaitList);
-  }
 }
 
 bool WaitList::wait_for(Scheduler& sched, Duration timeout,
@@ -523,11 +520,6 @@ bool WaitList::wait_for(Scheduler& sched, Duration timeout,
   } else {
     sched.advance_to(last_notify_at_);
   }
-  if (!timed_out) {
-    if (ConcurrencyHooks* h = sched.hooks()) {
-      h->on_acquire(this, SyncKind::WaitList);
-    }
-  }
   return !timed_out;
 }
 
@@ -542,11 +534,6 @@ void WaitList::remove_waiter(VirtualThread& t) {
 void WaitList::notify_all(Scheduler& sched, TimePoint at_least) {
   ++notifies_;
   last_notify_at_ = at_least;
-  if (sched.in_thread()) {
-    if (ConcurrencyHooks* h = sched.hooks()) {
-      h->on_release(this, SyncKind::WaitList);
-    }
-  }
   // wake() never re-enters this list (woken threads only run after the
   // yield below), so waking in place and clearing keeps the vector's
   // capacity for the next round instead of reallocating per notify.
@@ -564,11 +551,6 @@ void WaitList::notify_one(Scheduler& sched, VirtualThread* target,
                           TimePoint at_least) {
   ++notifies_;
   last_notify_at_ = at_least;
-  if (sched.in_thread()) {
-    if (ConcurrencyHooks* h = sched.hooks()) {
-      h->on_release(this, SyncKind::WaitList);
-    }
-  }
   if (target != nullptr) {
     remove_waiter(*target);
     sched.wake(*target, at_least);

@@ -8,7 +8,6 @@
 #include "zc/check/analyzer.hpp"
 #include "zc/check/ir.hpp"
 #include "zc/race/prune.hpp"
-#include "zc/stats/summary.hpp"
 
 namespace zc::workloads {
 
@@ -83,23 +82,11 @@ namespace {
     const std::vector<hsa::DeviceCounters>& counters =
         stack.hsa().device_counters();
     result.devices.resize(counters.size());
-    std::vector<std::vector<double>> durations(counters.size());
-    for (const trace::KernelRecord& k : result.kernel_records) {
-      if (k.device >= 0 && static_cast<std::size_t>(k.device) < durations.size()) {
-        durations[static_cast<std::size_t>(k.device)].push_back(
-            k.duration().us());
-      }
-    }
     for (std::size_t d = 0; d < counters.size(); ++d) {
       DeviceStats& ds = result.devices[d];
       ds.counters = counters[d];
       ds.hbm_used = stack.hsa().memory().hbm_used(static_cast<int>(d));
       ds.ddr_used = stack.hsa().memory().ddr_used();
-      if (!durations[d].empty()) {
-        const stats::SortedSamples sorted{std::move(durations[d])};
-        ds.kernel_p50_us = sorted.quantile(0.5);
-        ds.kernel_p95_us = sorted.quantile(0.95);
-      }
     }
   }
   result.decisions = stack.omp().decision_trace();

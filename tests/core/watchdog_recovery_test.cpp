@@ -82,7 +82,6 @@ TEST(WatchdogRecovery, HungKernelIsReplayedTransparently) {
   EXPECT_EQ(faults.count(FaultEvent::WatchdogReplay), 1u);
   EXPECT_EQ(faults.count(FaultEvent::WatchdogRecovered), 1u);
   EXPECT_FALSE(faults.any(FaultEvent::RegionFailed));
-  EXPECT_EQ(stack->hsa().watchdog().trips(), 1u);
 }
 
 TEST(WatchdogRecovery, AbortModeRaisesOneStructuredError) {

@@ -176,59 +176,6 @@ TEST(Detector, BarrierOrdersPhases) {
   EXPECT_TRUE(d.trace().empty());
 }
 
-TEST(Detector, MonitorBracketsOrderLikeALock) {
-  Scheduler s;
-  Detector d{Detector::Mode::Report, kPage};
-  d.attach(s);
-  int counter = 0;
-  for (int t = 0; t < 3; ++t) {
-    s.spawn("mm" + std::to_string(t), [&] {
-      race::MonitorGuard mm{s, &counter};
-      race::on_write(s, &counter, sizeof(int), "monitored-counter");
-      ++counter;
-    });
-  }
-  s.run();
-  EXPECT_TRUE(d.trace().empty());
-}
-
-TEST(Detector, AtomicStoreLoadPublishes) {
-  // The classic message-passing pattern: data write, release-store flag,
-  // acquire-load flag, data read. The data accesses are ordered through
-  // the atomic even though the flag itself is never access-checked.
-  Scheduler s;
-  Detector d{Detector::Mode::Report, kPage};
-  d.attach(s);
-  int data = 0;
-  int flag = 0;
-  s.spawn("publisher", [&] {
-    race::on_write(s, &data, sizeof(int), "published-data");
-    data = 1;
-    race::atomic_store(s, &flag);
-  });
-  s.spawn("subscriber", [&] {
-    s.advance(Duration::microseconds(5));
-    race::atomic_load(s, &flag);
-    race::on_read(s, &data, sizeof(int), "published-data");
-  });
-  s.run();
-  EXPECT_TRUE(d.trace().empty());
-}
-
-TEST(Detector, RaceTrackedWrapperReportsItsSite) {
-  Scheduler s;
-  Detector d{Detector::Mode::Report, kPage};
-  d.attach(s);
-  RaceTracked<int> tracked{"tracked-state", 0};
-  for (int t = 0; t < 2; ++t) {
-    s.spawn("t" + std::to_string(t), [&] { ++tracked.write(s); });
-  }
-  s.run();
-  ASSERT_EQ(d.trace().size(), 1u);
-  EXPECT_EQ(d.trace().records().front().what, "tracked-state");
-  EXPECT_EQ(tracked.unchecked(), 2);
-}
-
 TEST(Detector, AbortModeThrowsRaceErrorByDefault) {
   Scheduler s;
   Detector d{Detector::Mode::Abort, kPage};

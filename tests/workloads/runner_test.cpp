@@ -93,6 +93,10 @@ TEST(Runner, KernelRecordsOptIn) {
   EXPECT_FALSE(probe.hsa().keep_records());
   const RunResult off = run_program(p, {.keep_kernel_records = false});
   EXPECT_EQ(off.totals().kernels, 1u);
+  EXPECT_TRUE(off.kernel_records.empty());
+  const RunResult on = run_program(p, {.keep_kernel_records = true});
+  ASSERT_EQ(on.kernel_records.size(), 1u);
+  EXPECT_GE(on.kernel_records.front().duration().us(), 10.0);  // noop kernel
 }
 
 TEST(Runner, SingleApuRunsReportOneDevice) {
@@ -146,10 +150,6 @@ TEST(Runner, PerDeviceStatsOnAMultiApuNode) {
     EXPECT_EQ(ds.counters.kernels, 4u) << "device " << d;  // 3 local + 1 remote
     EXPECT_EQ(ds.counters.remote_kernels, 1u) << "device " << d;
     EXPECT_GT(ds.counters.page_faults, 0u) << "device " << d;
-    // Every launch on this device took at least its compute floor, and the
-    // tail is no shorter than the median.
-    EXPECT_GE(ds.kernel_p50_us, 100.0) << "device " << d;
-    EXPECT_GE(ds.kernel_p95_us, ds.kernel_p50_us) << "device " << d;
   }
   // Buffers were freed, so final HBM occupancy is back to the image/globals
   // footprint — but the kernel records kept per-device identities.
@@ -158,20 +158,12 @@ TEST(Runner, PerDeviceStatsOnAMultiApuNode) {
     ASSERT_GE(k.device, 0);
     ASSERT_LT(k.device, 4);
     ++per_device[k.device];
+    // Every launch took at least its compute floor.
+    EXPECT_GE(k.duration().us(), 100.0) << "device " << k.device;
   }
   for (std::uint64_t n : per_device) {
     EXPECT_EQ(n, 4u);
   }
-}
-
-TEST(Runner, KernelPercentilesNeedRecords) {
-  Program p = trivial_program();
-  const RunResult off = run_program(p, {.sockets = 2});
-  ASSERT_EQ(off.devices.size(), 2u);
-  EXPECT_EQ(off.devices[0].kernel_p50_us, 0.0);  // records not kept
-  const RunResult on = run_program(p, {.keep_kernel_records = true});
-  ASSERT_EQ(on.devices.size(), 1u);
-  EXPECT_GE(on.devices[0].kernel_p50_us, 10.0);  // the 10us noop kernel
 }
 
 }  // namespace
