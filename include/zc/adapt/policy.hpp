@@ -112,7 +112,9 @@ struct Outcome {
 /// system dependency. The runtime gathers `RegionFeatures`, calls `decide`
 /// inside its present-table transaction, and charges
 /// `AdaptParams::eval_cost`/`cache_hit_cost` itself. This keeps the hot
-/// path directly drivable from a real-time microbenchmark.
+/// path directly drivable from a real-time microbenchmark. Each `Outcome`
+/// says whether the call hit the cache, evaluated fresh or revised; the
+/// runtime's `trace::DecisionTrace` holds those counts.
 class PolicyEngine {
  public:
   PolicyEngine(const apu::CostParams& costs, const apu::AdaptParams& params,
@@ -135,9 +137,6 @@ class PolicyEngine {
   /// Cost prediction alone, exposed for tests and calibration tooling.
   [[nodiscard]] PredictedCosts predict(const RegionFeatures& features) const;
 
-  [[nodiscard]] std::uint64_t cache_hits() const { return cache_hits_; }
-  [[nodiscard]] std::uint64_t evaluations() const { return evaluations_; }
-  [[nodiscard]] std::uint64_t revisions() const { return revisions_; }
   [[nodiscard]] std::uint64_t evictions() const { return evictions_; }
   [[nodiscard]] std::size_t cache_size(int device) const {
     return caches_.at(static_cast<std::size_t>(device)).size();
@@ -164,9 +163,6 @@ class PolicyEngine {
   bool xnack_enabled_;
   std::vector<Cache> caches_;
   std::uint64_t seqno_ = 0;
-  std::uint64_t cache_hits_ = 0;
-  std::uint64_t evaluations_ = 0;
-  std::uint64_t revisions_ = 0;
   std::uint64_t evictions_ = 0;
 };
 

@@ -117,9 +117,6 @@ class Machine {
   [[nodiscard]] sim::Duration jittered_syscall(sim::Duration d) {
     return syscall_jitter_.apply(d);
   }
-  [[nodiscard]] const sim::JitterParams& jitter_params() const {
-    return jitter_.params();
-  }
 
   /// Time to DMA-copy `bytes` (engine-resident duration).
   [[nodiscard]] sim::Duration copy_duration(std::uint64_t bytes) const;

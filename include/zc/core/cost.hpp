@@ -16,12 +16,4 @@ namespace zc::omp {
       machine.costs().gpu_stream_bandwidth_bytes_per_s);
 }
 
-/// Compute time for a kernel that streams `bytes` and additionally performs
-/// `intensity` units of arithmetic per byte (a crude roofline knob: 1.0
-/// doubles the streaming time).
-[[nodiscard]] inline sim::Duration roofline_kernel_cost(
-    const apu::Machine& machine, std::uint64_t bytes, double intensity) {
-  return stream_kernel_cost(machine, bytes) * (1.0 + intensity);
-}
-
 }  // namespace zc::omp

@@ -186,7 +186,6 @@ class OffloadRuntime {
     return tables_.unguarded().at(static_cast<std::size_t>(device));
   }
   [[nodiscard]] hsa::Runtime& hsa() { return hsa_; }
-  [[nodiscard]] bool image_loaded() const { return image_loaded_; }
 
   /// Multi-tenant service occupancy of `device`'s admission budget, in
   /// [0, 1]. The service layer updates it as jobs are admitted and retired;

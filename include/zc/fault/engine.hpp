@@ -41,20 +41,17 @@ class FaultEngine {
   /// Count this call at `site` and decide whether a fault fires.
   Injection consult(Site site, sim::TimePoint now);
 
-  /// Calls consulted / faults fired so far at one site.
+  /// Calls consulted so far at one site (the call-window trigger state).
+  /// Fired injections are counted where they act: each is recorded as a
+  /// `*Injected` fault record.
   [[nodiscard]] std::uint64_t calls(Site site) const {
     return calls_[static_cast<std::size_t>(site)];
   }
-  [[nodiscard]] std::uint64_t injected(Site site) const {
-    return injected_[static_cast<std::size_t>(site)];
-  }
-  [[nodiscard]] std::uint64_t injected_total() const;
 
  private:
   Schedule schedule_;
   sim::Rng rng_{0};
   std::array<std::uint64_t, kSiteCount> calls_{};
-  std::array<std::uint64_t, kSiteCount> injected_{};
 };
 
 }  // namespace zc::fault

@@ -120,6 +120,41 @@ enum class Kind {
   return "?";
 }
 
+/// The call site each injectable kind fires at (`None` has none and maps to
+/// `PoolAlloc`, the `Clause` default).
+[[nodiscard]] constexpr Site site_of(Kind k) {
+  switch (k) {
+    case Kind::None:
+    case Kind::Oom:
+      return Site::PoolAlloc;
+    case Kind::Eintr:
+    case Kind::Ebusy:
+    case Kind::PrefaultHang:
+      return Site::SvmPrefault;
+    case Kind::CopyError:
+    case Kind::SdmaStall:
+      return Site::AsyncCopy;
+    case Kind::ReplayStorm:
+    case Kind::XnackLivelock:
+      return Site::XnackReplay;
+    case Kind::KernelHang:
+      return Site::KernelLaunch;
+    case Kind::EvictStorm:
+      return Site::Eviction;
+    case Kind::MigrationStall:
+      return Site::AutoMigrate;
+    case Kind::ThpSplitStorm:
+      return Site::ThpSplit;
+    case Kind::CounterLoss:
+      return Site::AccessCounter;
+    case Kind::TenantBurst:
+      return Site::TenantBurst;
+    case Kind::AdmissionFlap:
+      return Site::AdmissionFlap;
+  }
+  return Site::PoolAlloc;
+}
+
 /// True for the kinds that make an operation's completion signal never
 /// complete (the hang family a watchdog must bound).
 [[nodiscard]] constexpr bool is_hang(Kind k) {
@@ -167,7 +202,8 @@ struct Schedule {
 ///            | 'p=' F                         (per-call probability)
 ///   option  := 'x' F                          (replay latency factor)
 ///
-/// Each site token fixes the fault kind: oom -> pool allocation OOM,
+/// Each site token is `to_string(kind)` of the fault kind it fixes, and
+/// `site_of(kind)` the call site it fires at: oom -> pool allocation OOM,
 /// eintr/ebusy -> transient prefault syscall errors, sdma -> async-copy
 /// error signal, xnack -> replay-storm latency spike. The hang family
 /// (kernel_hang, sdma_stall, prefault_hang, xnack_livelock) makes the

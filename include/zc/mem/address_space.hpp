@@ -147,11 +147,10 @@ class Allocation {
   [[nodiscard]] std::uint64_t remote_pages(AddrRange range, int socket,
                                            std::uint64_t page_bytes) const;
 
-  /// Residency attribution, maintained by MemorySystem: how many of this
-  /// allocation's materialized pages are charged to socket `s`'s HBM, and
-  /// how many were spilled to the DDR tier by watermark eviction. Release
-  /// credits exactly these counts back, so capacity accounting cannot
-  /// drift from residency no matter how pages migrated in between.
+  /// HBM residency attribution, maintained by MemorySystem: how many of
+  /// this allocation's materialized pages are charged to socket `s`'s HBM.
+  /// Release credits exactly these counts back, so capacity accounting
+  /// cannot drift from residency no matter how pages migrated in between.
   [[nodiscard]] std::uint64_t hbm_resident(int s) const {
     return s >= 0 && static_cast<std::size_t>(s) < hbm_resident_.size()
                ? hbm_resident_[static_cast<std::size_t>(s)]
@@ -173,11 +172,6 @@ class Allocation {
       std::uint64_t& r = hbm_resident_[static_cast<std::size_t>(s)];
       r -= n <= r ? n : r;
     }
-  }
-  [[nodiscard]] std::uint64_t ddr_resident() const { return ddr_resident_; }
-  void ddr_resident_add(std::uint64_t n) { ddr_resident_ += n; }
-  void ddr_resident_sub(std::uint64_t n) {
-    ddr_resident_ -= n <= ddr_resident_ ? n : ddr_resident_;
   }
 
   /// Extents that may hold non-zero data, sorted and coalesced (touching
@@ -215,7 +209,6 @@ class Allocation {
   bool home_resolved_ = true;  ///< false while FirstTouch is pending
   std::map<std::uint64_t, int> home_overrides_;  ///< partial-migration homes
   std::vector<std::uint64_t> hbm_resident_;  ///< per-socket charged pages
-  std::uint64_t ddr_resident_ = 0;           ///< pages spilled to DDR
   std::unique_ptr<std::byte, BackingFree> backing_;
   RunSet written_;  ///< byte offsets that may hold non-zero data
 };

@@ -20,10 +20,6 @@ struct PrefaultOutcome {
   std::uint64_t present = 0;       ///< pages merely verified present
   std::uint64_t promoted = 0;      ///< DDR-spilled pages promoted back to HBM
   std::uint64_t collapsed = 0;     ///< split THP spans collapsed back to 2 MB
-
-  [[nodiscard]] std::uint64_t inserted_resident() const {
-    return inserted - materialized;
-  }
 };
 
 /// Counts returned by GPU-side demand fault-in (XNACK-replay).
@@ -143,11 +139,6 @@ class MemorySystem {
   /// prices the operation.
   std::uint64_t migrate_pages(AddrRange range, int to_socket);
 
-  /// Cumulative pages migrated *onto* `socket` by `migrate_pages`.
-  [[nodiscard]] std::uint64_t migrated_pages(int socket) const {
-    return migrated_.at(static_cast<std::size_t>(socket));
-  }
-
   /// GPU-side fault-in (XNACK-replay) of all absent pages in `range` on
   /// one socket's GPU; also materializes the CPU pages backing them,
   /// reporting how many needed materialization (they fault expensively).
@@ -182,8 +173,11 @@ class MemorySystem {
 
   // -- memory pressure: DDR spill tier, access counters, THP dynamics ------
 
-  /// Bytes currently spilled to the DDR tier (node-wide).
-  [[nodiscard]] std::uint64_t ddr_used() const { return ddr_used_; }
+  /// Bytes currently spilled to the DDR tier (node-wide): the spilled-page
+  /// set is the one DDR ledger.
+  [[nodiscard]] std::uint64_t ddr_used() const {
+    return ddr_pages_.size() * page_bytes();
+  }
   /// Spilled pages inside `range` (feeds Adaptive promotion pricing).
   [[nodiscard]] std::uint64_t ddr_pages(AddrRange range) const;
   /// Split THP spans inside `range` (feeds TLB and fault pricing).
@@ -217,8 +211,8 @@ class MemorySystem {
   /// that per-allocation residency attribution sums to the per-socket
   /// capacity counters (`check_accounting`).
   void set_debug_invariants(bool on) { debug_invariants_ = on; }
-  /// Throws std::logic_error when per-socket HBM occupancy or the DDR
-  /// tier disagrees with the sum of per-allocation residency counters.
+  /// Throws std::logic_error when per-socket HBM occupancy disagrees with
+  /// the sum of per-allocation residency counters.
   void check_accounting() const;
 
  private:
@@ -242,9 +236,6 @@ class MemorySystem {
   /// an even split across sockets for interleaved placements, the home
   /// socket otherwise.
   void charge_created(VirtAddr addr, std::uint64_t pages);
-  /// DDR-tier counter updates, kept with the allocation's residency.
-  void ddr_charge(Allocation& a, std::uint64_t pages);
-  void ddr_credit(Allocation& a, std::uint64_t pages);
   /// Promote the DDR-spilled pages of [first, end) back to HBM (GPU fault
   /// or prefault touched them); returns the promoted count.
   std::uint64_t promote_range(Allocation& a, std::uint64_t first,
@@ -267,9 +258,7 @@ class MemorySystem {
   std::vector<PageTable> gpu_pt_;
   std::vector<Tlb> tlb_;
   std::vector<std::uint64_t> hbm_used_;
-  std::vector<std::uint64_t> migrated_;  ///< pages migrated onto each socket
   std::uint64_t hbm_capacity_ = 0;
-  std::uint64_t ddr_used_ = 0;       ///< bytes spilled to the DDR tier
   RunSet ddr_pages_;    ///< spilled absolute page indices
   RunSet split_spans_;  ///< 4 KB-fragmented huge spans
   /// Per-page access-counter shadow: remote-touch streak and recency.

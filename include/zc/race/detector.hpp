@@ -39,27 +39,22 @@ class RaceError : public std::runtime_error {
 /// clock per actor (virtual thread or logical device task), joins clocks
 /// along every release/acquire edge the program's synchronization emits
 /// (spawn/finish, `Mutex`, `Latch`, `Barrier`, `hsa::Signal`, device-task
-/// begin/end; a `WaitList` emits none), and checks each instrumented
-/// access — field-level (`race::on_read/on_write` stamps; `GuardedBy::get`
-/// emits none, its mutex already orders every access) and page-level
-/// (kernel buffer accesses, host touches, SDMA copies) — against
-/// per-variable shadow state compressed to epochs:
-/// the common same-actor/ordered case is a constant-time comparison, and a
-/// full clock copy is only taken when an access must be retained for
-/// reporting. A conflicting pair with no happens-before path produces one
-/// deterministic `trace::RaceReport` naming both sites, both actors, and
-/// both vector clocks; the variable is then poisoned so a given bug yields
-/// exactly one report per run.
+/// begin/end; a `WaitList` emits none), and checks each page access (kernel
+/// buffer accesses, host touches, SDMA copies) against per-page shadow
+/// state compressed to epochs: the common same-actor/ordered case is a
+/// constant-time comparison, and a full clock copy is only taken when an
+/// access must be retained for reporting. A device task forks from its
+/// dispatcher's clock, acquires its in-queue dependences, and releases into
+/// its completion signal, so a host touch of a page a kernel accessed is a
+/// race precisely when no map/copy/kernel-completion edge interposes. A
+/// conflicting pair with no happens-before path produces one deterministic
+/// `trace::RaceReport` naming both sites, both actors, and both vector
+/// clocks; the page is then poisoned so a given bug yields exactly one
+/// report per run.
 ///
-/// Two further analyses ride on the same clocks:
-///  * a lock-order graph recording every nested mutex acquisition; a cycle
-///    is reported as a potential deadlock even on schedules that never
-///    deadlock;
-///  * page-granularity host/GPU checking: a device task forks from its
-///    dispatcher's clock, acquires its in-queue dependences, and releases
-///    into its completion signal, so a host touch of a page a kernel
-///    accessed is a race precisely when no map/copy/kernel-completion edge
-///    interposes.
+/// A lock-order graph rides on the same hooks: it records every nested
+/// mutex acquisition and reports a cycle as a potential deadlock even on
+/// schedules that never deadlock.
 class Detector final : public sim::ConcurrencyHooks {
  public:
   enum class Mode { Report, Abort };
@@ -86,9 +81,9 @@ class Detector final : public sim::ConcurrencyHooks {
   [[nodiscard]] const trace::RaceTrace& trace() const { return trace_; }
 
   /// Install the statically proven-safe page set (`report:pruned`): page
-  /// stamps covered by the filter skip shadow-state bookkeeping. Clocks,
-  /// sync edges, and field-level accesses are untouched — happens-before
-  /// transitivity is preserved for every page that stays instrumented.
+  /// stamps covered by the filter skip shadow-state bookkeeping. Clocks and
+  /// sync edges are untouched — happens-before transitivity is preserved
+  /// for every page that stays instrumented.
   /// Non-owning; pass nullptr to clear. Counters report the split.
   void set_prune_filter(const PruneFilter* filter) { prune_ = filter; }
   [[nodiscard]] std::uint64_t pruned_stamps() const { return pruned_stamps_; }
@@ -102,8 +97,6 @@ class Detector final : public sim::ConcurrencyHooks {
   void on_release(const void* obj, sim::SyncKind kind) override;
   void on_acquire(const void* obj, sim::SyncKind kind) override;
   void on_lock_acquired(const sim::Mutex& m) override;
-  void on_access(const void* addr, std::size_t bytes, std::string_view what,
-                 bool is_write) override;
   int on_task_begin(std::string_view what, int device) override;
   void on_task_pages(int task, std::uint64_t first_page, std::uint64_t pages,
                      bool is_write, std::string_view what) override;
@@ -124,7 +117,7 @@ class Detector final : public sim::ConcurrencyHooks {
     std::shared_ptr<const VectorClock> snap;
   };
 
-  /// One retained access in a variable's shadow state.
+  /// One retained access in a page's shadow state.
   struct Access {
     Epoch epoch;
     bool is_write = false;
@@ -133,7 +126,7 @@ class Detector final : public sim::ConcurrencyHooks {
     std::shared_ptr<const VectorClock> clock;
   };
 
-  /// Shadow state of one instrumented variable or page.
+  /// Shadow state of one page.
   struct Shadow {
     Access write;               ///< last write (epoch.slot < 0 = none)
     std::vector<Access> reads;  ///< read frontier since the last write
@@ -145,19 +138,17 @@ class Detector final : public sim::ConcurrencyHooks {
   [[nodiscard]] Actor& mutate(int slot);  ///< actor with snapshot invalidated
   [[nodiscard]] std::shared_ptr<const VectorClock> snapshot(int slot);
 
-  /// Check one access against `shadow` and update it; reports on conflict.
-  /// `name` is called only when a report is actually emitted — the common
-  /// no-race stamp must not pay for materializing the display name (for
-  /// page stamps that is a fresh std::string per page per access).
-  template <typename NameFn>
-  void check(Shadow& shadow, trace::RaceKind kind, NameFn&& name, int slot,
-             bool is_write, std::string_view site);
+  /// Check one access to `page` against its `shadow` and update it;
+  /// reports on conflict.
+  void check(Shadow& shadow, std::uint64_t page, int slot, bool is_write,
+             std::string_view site);
   /// Check the pages `[first_page, first_page + pages)` accessed by actor
   /// `slot` (a device task or a host thread), skipping the pruned ones.
   void stamp_pages(int slot, std::uint64_t first_page, std::uint64_t pages,
                    bool is_write, std::string_view what);
-  void report(trace::RaceKind kind, const std::string& what,
-              const Access& prev, const Access& cur);
+  /// Record a race on `page`. Only a report builds the page's display
+  /// name, so the common no-race stamp allocates no string.
+  void report(std::uint64_t page, const Access& prev, const Access& cur);
   [[nodiscard]] std::string page_name(std::uint64_t page) const;
 
   Mode mode_;
@@ -183,7 +174,6 @@ class Detector final : public sim::ConcurrencyHooks {
   /// virtual thread (a later `run()` round) is ordered after them.
   VectorClock drain_;
   std::unordered_map<const void*, VectorClock> sync_;  ///< per sync object L
-  std::unordered_map<const void*, Shadow> vars_;
   std::unordered_map<std::uint64_t, Shadow> pages_;
 
   /// --- retired-task slot GC -----------------------------------------------

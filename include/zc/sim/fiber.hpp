@@ -40,8 +40,6 @@ class FiberStackPool {
   /// current block size are simply freed.
   void release(std::unique_ptr<char[]> stack, std::size_t bytes);
 
-  [[nodiscard]] std::size_t pooled() const { return free_.size(); }
-
  private:
   std::size_t block_bytes_ = 0;
   std::vector<std::unique_ptr<char[]>> free_;

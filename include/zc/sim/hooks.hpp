@@ -45,10 +45,11 @@ enum class SyncKind {
 
 /// Observer interface for the scheduler's concurrency events: thread
 /// lifecycle, the release/acquire edges every synchronization primitive
-/// emits, nested lock acquisitions, and the instrumented accesses to shared
-/// state. `zc::race::Detector` implements it to maintain per-fiber vector
-/// clocks; a null hook pointer (the default) keeps every primitive on its
-/// original fast path — one predicted branch per operation, no allocation.
+/// emits, nested lock acquisitions, and the page accesses of host threads
+/// and device tasks. `zc::race::Detector` implements it to maintain
+/// per-fiber vector clocks; a null hook pointer (the default) keeps every
+/// primitive on its original fast path — one predicted branch per
+/// operation, no allocation.
 ///
 /// Virtual-thread ids are the scheduler's (`VirtualThread::id()`); a parent
 /// id of -1 means the thread was spawned from outside any virtual thread
@@ -74,11 +75,11 @@ class ConcurrencyHooks {
   /// already contains `m`). Feeds the lock-order graph.
   virtual void on_lock_acquired(const Mutex& m) = 0;
 
-  /// --- instrumented field accesses ----------------------------------------
-  /// A read or write of instrumented shared state by the current thread.
-  /// `what` names the access site for reports; it is copied when retained.
-  virtual void on_access(const void* addr, std::size_t bytes,
-                         std::string_view what, bool is_write) = 0;
+  /// A field-level read or write by the current thread. Nothing in the
+  /// simulator emits it and the detector ignores it; it stays only for
+  /// observers that count every hook.
+  virtual void on_access(const void* /*addr*/, std::size_t /*bytes*/,
+                         std::string_view /*what*/, bool /*is_write*/) {}
 
   /// --- logical device tasks and page-granularity accesses -----------------
   /// Begin a device task forked from the current thread's clock; returns a

@@ -40,8 +40,6 @@ class JitterModel {
     return apply_noise(d);
   }
 
-  [[nodiscard]] const JitterParams& params() const { return params_; }
-
  private:
   [[nodiscard]] Duration apply_noise(Duration d);
 

@@ -50,11 +50,6 @@ class VirtualThread {
   }
   [[nodiscard]] bool holds(const Mutex& m) const;
 
-  /// While blocked, a short label for the primitive this thread waits on
-  /// (e.g. "Mutex(present-table)", "Signal(kernel:vmc)"); empty otherwise.
-  /// Surfaced by the deadlock diagnostic in `Scheduler::run`.
-  [[nodiscard]] const std::string& waiting_on() const { return wait_what_; }
-
  private:
   friend class Scheduler;
   friend class WaitList;
@@ -85,7 +80,10 @@ class VirtualThread {
   std::optional<TimePoint> wake_at_;  // armed deadline while blocked
   bool timed_out_ = false;            // set when the deadline fired
   WaitList* waiting_in_ = nullptr;    // list to drop out of on timeout
-  std::string wait_what_;             // diagnostic label while blocked
+  /// While blocked, a short label for the primitive this thread waits on
+  /// (e.g. "Mutex(present-table)", "Signal(kernel:vmc)"); empty otherwise.
+  /// Surfaced by the deadlock diagnostic in `Scheduler::run`.
+  std::string wait_what_;
   std::vector<const Mutex*> held_;
   std::unique_ptr<Fiber> fiber_;
 };
@@ -227,7 +225,6 @@ class Scheduler {
   /// runs report identical event counts.
   [[nodiscard]] std::uint64_t events() const { return events_; }
 
-  [[nodiscard]] std::size_t thread_count() const { return threads_.size(); }
   [[nodiscard]] const VirtualThread& thread(std::size_t i) const {
     return *threads_.at(i);
   }
@@ -613,13 +610,11 @@ class GuardedBy {
   GuardedBy(const GuardedBy&) = delete;
   GuardedBy& operator=(const GuardedBy&) = delete;
 
-  // get() deliberately does NOT emit a ConcurrencyHooks::on_access event.
-  // assert_held proves every access happens under the one mutex bound at
-  // construction, and the mutex's release/acquire hooks order all critical
-  // sections — so a happens-before race check on these accesses can never
-  // fire and would only tax the detector's hot path. Racy access patterns
-  // must use the raw race::on_read/on_write annotations instead; mixing
-  // those with GuardedBy on the same address defeats this exemption.
+  // get() emits no race-detector event. assert_held proves every access
+  // happens under the one mutex bound at construction, and the mutex's
+  // release/acquire hooks order all critical sections — so a happens-before
+  // check on these accesses could never fire. The detector checks pages
+  // only: host touches, kernel buffers and SDMA copies.
   [[nodiscard]] T& get(Scheduler& sched) {
     assert_held(*m_, sched, what_);
     return value_;

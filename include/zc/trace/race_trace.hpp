@@ -9,15 +9,12 @@ namespace zc::trace {
 
 /// What class of concurrency defect a race report describes.
 enum class RaceKind {
-  Field,      ///< conflicting unordered accesses to instrumented shared state
   Page,       ///< host/GPU accesses to the same page with no interposed edge
   LockOrder,  ///< a cycle in the lock-order graph (potential deadlock)
 };
 
 [[nodiscard]] constexpr const char* to_string(RaceKind k) {
   switch (k) {
-    case RaceKind::Field:
-      return "field-race";
     case RaceKind::Page:
       return "page-race";
     case RaceKind::LockOrder:
@@ -40,8 +37,8 @@ struct RaceEndpoint {
 /// exposed the conflict. Lock-order cycles use `first`/`second` for the two
 /// edges that close the cycle.
 struct RaceReport {
-  RaceKind kind = RaceKind::Field;
-  std::string what;  ///< variable name, page range, or cycle description
+  RaceKind kind = RaceKind::Page;
+  std::string what;  ///< page range or cycle description
   RaceEndpoint first;
   RaceEndpoint second;
   sim::TimePoint time;  ///< virtual time of the detecting access

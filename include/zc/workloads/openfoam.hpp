@@ -30,9 +30,6 @@ struct OpenfoamParams {
   sim::Duration dot_compute = sim::Duration::from_us(60);
   sim::Duration axpy_compute = sim::Duration::from_us(120);
 
-  [[nodiscard]] std::uint64_t field_bytes() const {
-    return cells * sizeof(double);
-  }
   [[nodiscard]] std::uint64_t matrix_bytes() const {
     return cells * 8 * sizeof(double);  // ~7-point stencil + diagonal
   }

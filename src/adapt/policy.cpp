@@ -154,12 +154,10 @@ Outcome PolicyEngine::decide(int device, const RegionFeatures& features) {
     const bool pinned = entry.active_maps > 0;
     ++entry.active_maps;
     if (pinned || entry.maps_since_eval <= params_.hysteresis_maps) {
-      ++cache_hits_;
       return Outcome{.decision = entry.decision, .fresh = false};
     }
     // Hysteresis window elapsed and the range is quiescent: re-evaluate,
     // but switch only on a decisive margin.
-    ++evaluations_;
     const PredictedCosts costs = predict(features);
     const Decision best = costs.best();
     Outcome out{.decision = entry.decision, .fresh = true, .costs = costs};
@@ -168,14 +166,12 @@ Outcome PolicyEngine::decide(int device, const RegionFeatures& features) {
       entry.decision = best;
       out.decision = best;
       out.revised = true;
-      ++revisions_;
     }
     entry.maps_since_eval = 0;
     return out;
   }
 
   // Cache miss: evaluate and remember.
-  ++evaluations_;
   const PredictedCosts costs = predict(features);
   const Decision decision = costs.best();
   CacheEntry entry;

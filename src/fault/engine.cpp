@@ -28,19 +28,10 @@ Injection FaultEngine::consult(Site site, sim::TimePoint now) {
         break;
     }
     if (fire) {
-      ++injected_[idx];
       return Injection{c.kind, c.factor};
     }
   }
   return {};
-}
-
-std::uint64_t FaultEngine::injected_total() const {
-  std::uint64_t total = 0;
-  for (const std::uint64_t n : injected_) {
-    total += n;
-  }
-  return total;
 }
 
 }  // namespace zc::fault

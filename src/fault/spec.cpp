@@ -7,63 +7,23 @@ namespace zc::fault {
 
 namespace {
 
-struct SiteKind {
-  Site site;
-  Kind kind;
-};
-
-SiteKind site_kind(const std::string& token, const std::string& clause) {
-  if (token == "oom") {
-    return {Site::PoolAlloc, Kind::Oom};
-  }
-  if (token == "eintr") {
-    return {Site::SvmPrefault, Kind::Eintr};
-  }
-  if (token == "ebusy") {
-    return {Site::SvmPrefault, Kind::Ebusy};
-  }
-  if (token == "sdma") {
-    return {Site::AsyncCopy, Kind::CopyError};
-  }
-  if (token == "xnack") {
-    return {Site::XnackReplay, Kind::ReplayStorm};
-  }
-  if (token == "kernel_hang") {
-    return {Site::KernelLaunch, Kind::KernelHang};
-  }
-  if (token == "sdma_stall") {
-    return {Site::AsyncCopy, Kind::SdmaStall};
-  }
-  if (token == "prefault_hang") {
-    return {Site::SvmPrefault, Kind::PrefaultHang};
-  }
-  if (token == "xnack_livelock") {
-    return {Site::XnackReplay, Kind::XnackLivelock};
-  }
-  if (token == "evict_storm") {
-    return {Site::Eviction, Kind::EvictStorm};
-  }
-  if (token == "migration_stall") {
-    return {Site::AutoMigrate, Kind::MigrationStall};
-  }
-  if (token == "thp_split_storm") {
-    return {Site::ThpSplit, Kind::ThpSplitStorm};
-  }
-  if (token == "counter_loss") {
-    return {Site::AccessCounter, Kind::CounterLoss};
-  }
-  if (token == "tenant_burst") {
-    return {Site::TenantBurst, Kind::TenantBurst};
-  }
-  if (token == "admission_flap") {
-    return {Site::AdmissionFlap, Kind::AdmissionFlap};
+/// The kind whose spelling is `token`; the spellings are `to_string(Kind)`
+/// for every injectable kind, listed in enum order when none matches.
+Kind kind_of(const std::string& token, const std::string& clause) {
+  std::string expected;
+  for (auto k = static_cast<int>(Kind::Oom);
+       k <= static_cast<int>(Kind::AdmissionFlap); ++k) {
+    const Kind kind = static_cast<Kind>(k);
+    if (token == to_string(kind)) {
+      return kind;
+    }
+    if (!expected.empty()) {
+      expected += '|';
+    }
+    expected += to_string(kind);
   }
   throw FaultSpecError("fault spec: unknown site '" + token + "' in clause '" +
-                       clause +
-                       "' (expected oom|eintr|ebusy|sdma|xnack|kernel_hang|"
-                       "sdma_stall|prefault_hang|xnack_livelock|evict_storm|"
-                       "migration_stall|thp_split_storm|counter_loss|"
-                       "tenant_burst|admission_flap)");
+                       clause + "' (expected " + expected + ")");
 }
 
 std::uint64_t parse_u64(std::string_view text, const std::string& clause) {
@@ -157,10 +117,9 @@ Clause parse_clause(const std::string& text) {
     throw FaultSpecError("fault spec: clause '" + text +
                          "' has no '@trigger' part");
   }
-  const SiteKind sk = site_kind(text.substr(0, at), text);
   Clause clause;
-  clause.site = sk.site;
-  clause.kind = sk.kind;
+  clause.kind = kind_of(text.substr(0, at), text);
+  clause.site = site_of(clause.kind);
 
   std::string_view rest{text};
   rest.remove_prefix(at + 1);
@@ -188,44 +147,6 @@ std::string format_double(double v) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%g", v);
   return buf;
-}
-
-std::string site_token(const Clause& c) {
-  switch (c.kind) {
-    case Kind::Oom:
-      return "oom";
-    case Kind::Eintr:
-      return "eintr";
-    case Kind::Ebusy:
-      return "ebusy";
-    case Kind::CopyError:
-      return "sdma";
-    case Kind::ReplayStorm:
-      return "xnack";
-    case Kind::KernelHang:
-      return "kernel_hang";
-    case Kind::SdmaStall:
-      return "sdma_stall";
-    case Kind::PrefaultHang:
-      return "prefault_hang";
-    case Kind::XnackLivelock:
-      return "xnack_livelock";
-    case Kind::EvictStorm:
-      return "evict_storm";
-    case Kind::MigrationStall:
-      return "migration_stall";
-    case Kind::ThpSplitStorm:
-      return "thp_split_storm";
-    case Kind::CounterLoss:
-      return "counter_loss";
-    case Kind::TenantBurst:
-      return "tenant_burst";
-    case Kind::AdmissionFlap:
-      return "admission_flap";
-    case Kind::None:
-      break;
-  }
-  return "?";
 }
 
 /// True for the kinds whose clause carries a meaningful latency factor
@@ -265,7 +186,7 @@ std::string to_string(const Schedule& schedule) {
     if (!s.empty()) {
       s += ';';
     }
-    s += site_token(c);
+    s += to_string(c.kind);
     s += '@';
     switch (c.trigger.mode) {
       case Trigger::Mode::CallRange:

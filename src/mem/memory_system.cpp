@@ -29,7 +29,6 @@ MemorySystem::MemorySystem(apu::Machine& machine)
     gpu_pt_.emplace_back(machine.page_bytes());
     tlb_.emplace_back(machine.costs().tlb_entries, machine.page_bytes());
     hbm_used_.push_back(0);
-    migrated_.push_back(0);
   }
   const apu::RunEnvironment& env = machine.env();
   sample_counters_ = env.ompx_apu_automigrate.enabled ||
@@ -135,17 +134,6 @@ void MemorySystem::charge_created(VirtAddr addr, std::uint64_t pages) {
   charge_alloc(*a, a->home_socket(), pages);
 }
 
-void MemorySystem::ddr_charge(Allocation& a, std::uint64_t pages) {
-  ddr_used_ += pages * page_bytes();
-  a.ddr_resident_add(pages);
-}
-
-void MemorySystem::ddr_credit(Allocation& a, std::uint64_t pages) {
-  const std::uint64_t bytes = pages * page_bytes();
-  ddr_used_ -= std::min(ddr_used_, bytes);
-  a.ddr_resident_sub(pages);
-}
-
 void MemorySystem::os_free(VirtAddr base) { release(base, MemKind::HostOs); }
 
 bool MemorySystem::pool_fits(std::uint64_t bytes, int socket) const {
@@ -206,16 +194,13 @@ void MemorySystem::release(VirtAddr base, MemKind expected) {
                                 " API");
   }
   const AddrRange range = a->range();
-  // Credit exactly the residency this allocation was charged: the per-
-  // socket attribution vector (plus any DDR spill), maintained by every
-  // charge path, so capacity accounting cannot drift no matter how the
-  // pages migrated or spilled in between. On a discrete node only pool
-  // (VRAM) allocations charged.
+  // Credit exactly the HBM residency this allocation was charged: the per-
+  // socket attribution vector, maintained by every charge path, so capacity
+  // accounting cannot drift no matter how the pages migrated or spilled in
+  // between. Its DDR spill leaves with its pages below. On a discrete node
+  // only pool (VRAM) allocations charged.
   if (machine_.is_apu()) {
     credit_all(*a);
-    if (a->ddr_resident() > 0) {
-      ddr_credit(*a, a->ddr_resident());
-    }
   } else if (a->kind() == MemKind::DevicePool) {
     credit(a->home_socket(), range.page_count(page_bytes()) * page_bytes());
   }
@@ -358,11 +343,7 @@ std::uint64_t MemorySystem::promote_range(Allocation& a, std::uint64_t first,
       charge_alloc(a, a.page_home(VirtAddr{p * pb}, pb), 1);
     }
   });
-  const std::uint64_t promoted = ddr_pages_.erase(first, end);
-  if (promoted > 0) {
-    ddr_credit(a, promoted);
-  }
-  return promoted;
+  return ddr_pages_.erase(first, end);
 }
 
 PrefaultOutcome MemorySystem::prefault(AddrRange range, int socket) {
@@ -454,9 +435,6 @@ std::uint64_t MemorySystem::migrate_pages(AddrRange range, int to_socket) {
     // migration copies them into the destination's HBM.
     if (machine_.is_apu()) {
       credit_all(*a);
-      if (a->ddr_resident() > 0) {
-        ddr_credit(*a, a->ddr_resident());
-      }
       ddr_pages_.erase(whole_first, whole_end);
     }
     a->set_placement(Placement::FixedHome, 1);
@@ -474,7 +452,6 @@ std::uint64_t MemorySystem::migrate_pages(AddrRange range, int to_socket) {
       gpu_pt_[s].remove_range(whole);
       tlb_[s].invalidate_range(whole);
     }
-    migrated_.at(static_cast<std::size_t>(to_socket)) += resident;
     maybe_check_accounting();
     return resident;
   }
@@ -492,7 +469,6 @@ std::uint64_t MemorySystem::migrate_pages(AddrRange range, int to_socket) {
     rehomed_any = true;
     const int cur = a->page_home(addr, pb);
     if (machine_.is_apu() && ddr_pages_.erase(p, p + 1) > 0) {
-      ddr_credit(*a, 1);
       charge_alloc(*a, to_socket, 1);
       ++moved;
     } else if (cpu_pt_.present(p)) {
@@ -522,7 +498,6 @@ std::uint64_t MemorySystem::migrate_pages(AddrRange range, int to_socket) {
     gpu_pt_[s].remove_range(covered);
     tlb_[s].invalidate_range(covered);
   }
-  migrated_.at(static_cast<std::size_t>(to_socket)) += moved;
   maybe_check_accounting();
   return moved;
 }
@@ -617,7 +592,6 @@ ReclaimOutcome MemorySystem::reclaim(int socket, std::uint64_t target_bytes,
     // construction; the GPU translations everywhere are torn down and a
     // later GPU access promotes the page back.
     credit_page(a, socket);
-    ddr_charge(a, 1);
     ddr_pages_.insert(v.page, v.page + 1);
     const AddrRange pr{VirtAddr{v.page * pb}, pb};
     for (std::size_t s = 0; s < gpu_pt_.size(); ++s) {
@@ -666,13 +640,11 @@ void MemorySystem::check_accounting() const {
     return;  // discrete pool charges carry no per-allocation attribution
   }
   std::vector<std::uint64_t> expected(hbm_used_.size(), 0);
-  std::uint64_t expected_ddr_pages = 0;
   space_.for_each([&](const Allocation& a) {
     const std::vector<std::uint64_t>& v = a.hbm_resident_all();
     for (std::size_t s = 0; s < v.size() && s < expected.size(); ++s) {
       expected[s] += v[s];
     }
-    expected_ddr_pages += a.ddr_resident();
   });
   const std::uint64_t pb = page_bytes();
   for (std::size_t s = 0; s < hbm_used_.size(); ++s) {
@@ -682,14 +654,6 @@ void MemorySystem::check_accounting() const {
           " hbm_used=" + std::to_string(hbm_used_[s]) +
           " but allocations attribute " + std::to_string(expected[s] * pb));
     }
-  }
-  if (expected_ddr_pages * pb != ddr_used_ ||
-      expected_ddr_pages != ddr_pages_.size()) {
-    throw std::logic_error(
-        "MemorySystem accounting drift: ddr_used=" + std::to_string(ddr_used_) +
-        " spilled-set=" + std::to_string(ddr_pages_.size()) +
-        " but allocations attribute " + std::to_string(expected_ddr_pages) +
-        " pages");
   }
 }
 

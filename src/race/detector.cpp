@@ -113,17 +113,6 @@ void Detector::on_acquire(const void* obj, sim::SyncKind /*kind*/) {
   }
 }
 
-void Detector::on_access(const void* addr, std::size_t /*bytes*/,
-                         std::string_view what, bool is_write) {
-  const int slot = self_slot();
-  if (slot < 0) {
-    return;
-  }
-  Shadow& sh = vars_[addr];
-  check(sh, trace::RaceKind::Field, [&] { return std::string{what}; }, slot,
-        is_write, what);
-}
-
 int Detector::on_task_begin(std::string_view what, int device) {
   const int slot = self_slot();
   if (slot < 0) {
@@ -207,8 +196,7 @@ void Detector::stamp_pages(int slot, std::uint64_t first_page,
       continue;
     }
     ++checked_stamps_;
-    check(pages_[p], trace::RaceKind::Page, [&] { return page_name(p); },
-          slot, is_write, what);
+    check(pages_[p], p, slot, is_write, what);
   }
 }
 
@@ -264,20 +252,15 @@ void Detector::compact() {
     std::erase_if(sh.reads,
                   [&](const Access& r) { return ancient(r.epoch); });
   };
-  for (auto& [addr, sh] : vars_) {
-    sweep(sh);
-  }
   for (auto& [page, sh] : pages_) {
     sweep(sh);
   }
   // A fully swept shadow is indistinguishable from an absent one — unless
   // it is poisoned, which must persist to keep suppressing reports.
-  const auto hollow = [](const auto& kv) {
+  std::erase_if(pages_, [](const auto& kv) {
     return !kv.second.poisoned && !kv.second.write.epoch.valid() &&
            kv.second.reads.empty();
-  };
-  std::erase_if(vars_, hollow);
-  std::erase_if(pages_, hollow);
+  });
   // Pass 2 — a retired slot is still *live* while some surviving shadow
   // epoch names it: a future covers() check against that epoch needs the
   // slot's component in the checking actor's clock. Everything else is
@@ -295,9 +278,6 @@ void Detector::compact() {
       }
     }
   };
-  for (const auto& [addr, sh] : vars_) {
-    note(sh);
-  }
   for (const auto& [page, sh] : pages_) {
     note(sh);
   }
@@ -325,9 +305,8 @@ void Detector::compact() {
   std::erase_if(retired_, [&](int s) { return !live.contains(s); });
 }
 
-template <typename NameFn>
-void Detector::check(Shadow& sh, trace::RaceKind kind, NameFn&& name,
-                     int slot, bool is_write, std::string_view site) {
+void Detector::check(Shadow& sh, std::uint64_t page, int slot, bool is_write,
+                     std::string_view site) {
   if (sh.poisoned) {
     return;
   }
@@ -344,14 +323,14 @@ void Detector::check(Shadow& sh, trace::RaceKind kind, NameFn&& name,
   };
   if (sh.write.epoch.valid() && sh.write.epoch.slot != slot &&
       !clock.covers(sh.write.epoch)) {
-    report(kind, name(), sh.write, make_access(is_write));
+    report(page, sh.write, make_access(is_write));
     sh.poisoned = true;
     return;
   }
   if (is_write) {
     for (const Access& r : sh.reads) {
       if (r.epoch.slot != slot && !clock.covers(r.epoch)) {
-        report(kind, name(), r, make_access(true));
+        report(page, r, make_access(true));
         sh.poisoned = true;
         return;
       }
@@ -376,8 +355,8 @@ void Detector::check(Shadow& sh, trace::RaceKind kind, NameFn&& name,
   sh.reads.push_back(make_access(false));
 }
 
-void Detector::report(trace::RaceKind kind, const std::string& what,
-                      const Access& prev, const Access& cur) {
+void Detector::report(std::uint64_t page, const Access& prev,
+                      const Access& cur) {
   const auto rw = [](const Access& a) { return a.is_write ? "write" : "read"; };
   // Canonical endpoint order. Which of the two unordered accesses the
   // detector encounters first is a property of the schedule (stress seeds
@@ -389,8 +368,7 @@ void Detector::report(trace::RaceKind kind, const std::string& what,
   const Access& a = canon_key(cur) < canon_key(prev) ? cur : prev;
   const Access& b = &a == &prev ? cur : prev;
   trace::RaceReport r;
-  r.kind = kind;
-  r.what = what;
+  r.what = page_name(page);
   r.first = trace::RaceEndpoint{a.actor, a.site,
                                 a.clock ? a.clock->render() : "{}", a.is_write};
   r.second = trace::RaceEndpoint{b.actor, b.site,
@@ -398,7 +376,7 @@ void Detector::report(trace::RaceKind kind, const std::string& what,
                                  b.is_write};
   r.time = (sched_ != nullptr && sched_->in_thread()) ? sched_->now()
                                                       : sim::TimePoint{};
-  r.message = std::string{trace::to_string(kind)} + " on " + what + ": " +
+  r.message = std::string{trace::to_string(r.kind)} + " on " + r.what + ": " +
               rw(a) + " by '" + a.actor + "' at " + a.site + " " +
               r.first.clock + " is unordered with " + rw(b) + " by '" +
               b.actor + "' at " + b.site + " " + r.second.clock;

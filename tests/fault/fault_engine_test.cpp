@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -19,7 +20,6 @@ TEST(FaultEngine, DefaultEngineIsDisabledAndNeverFires) {
     EXPECT_FALSE(e.consult(Site::PoolAlloc, at(0_us)).fired());
   }
   EXPECT_EQ(e.calls(Site::PoolAlloc), 100u);
-  EXPECT_EQ(e.injected_total(), 0u);
 }
 
 TEST(FaultEngine, CallWindowFiresExactly) {
@@ -31,8 +31,6 @@ TEST(FaultEngine, CallWindowFiresExactly) {
   }
   EXPECT_EQ(fired, (std::vector<bool>{false, true, true, true, false, false}));
   EXPECT_EQ(e.calls(Site::SvmPrefault), 6u);
-  EXPECT_EQ(e.injected(Site::SvmPrefault), 3u);
-  EXPECT_EQ(e.injected_total(), 3u);
 }
 
 TEST(FaultEngine, CallCountersArePerSite) {
@@ -43,7 +41,6 @@ TEST(FaultEngine, CallCountersArePerSite) {
   const Injection inj = e.consult(Site::PoolAlloc, at(0_us));
   EXPECT_EQ(inj.kind, Kind::Oom);
   EXPECT_EQ(e.calls(Site::PoolAlloc), 1u);
-  EXPECT_EQ(e.injected(Site::SvmPrefault), 0u);
 }
 
 TEST(FaultEngine, TimeWindowFiresInsideOnly) {
@@ -102,8 +99,9 @@ TEST(FaultEngine, ProbabilityStreamIsDeterministicPerSeed) {
   EXPECT_EQ(fa, fb);
   EXPECT_NE(fa, fc);
   // p=0.5 over 256 draws: both firing and not firing must occur.
-  EXPECT_GT(a.injected(Site::AsyncCopy), 0u);
-  EXPECT_LT(a.injected(Site::AsyncCopy), 256u);
+  const auto fired = std::count(fa.begin(), fa.end(), true);
+  EXPECT_GT(fired, 0);
+  EXPECT_LT(fired, 256);
 }
 
 TEST(FaultEngine, ProbabilityDrawSkippedWhenEarlierClauseFires) {

@@ -107,7 +107,7 @@ TEST(FaultSpec, HangFamilyTokensMapToSitesAndKinds) {
     EXPECT_EQ(s.clauses[0].site, c.site) << c.token;
     EXPECT_EQ(s.clauses[0].kind, c.kind) << c.token;
     EXPECT_TRUE(is_hang(s.clauses[0].kind)) << c.token;
-    // site_token round-trips through the renderer.
+    // The kind's spelling round-trips through the renderer.
     const Schedule again = parse_spec(to_string(s));
     EXPECT_EQ(again.clauses[0].kind, c.kind) << c.token;
   }
@@ -158,6 +158,48 @@ TEST(FaultSpec, UnknownSiteErrorListsThePressureTokens) {
     EXPECT_NE(what.find("migration_stall"), std::string::npos);
     EXPECT_NE(what.find("thp_split_storm"), std::string::npos);
     EXPECT_NE(what.find("counter_loss"), std::string::npos);
+  }
+}
+
+TEST(FaultSpec, EveryTokenParsesToItsKindAndSite) {
+  const struct {
+    const char* token;
+    Kind kind;
+    Site site;
+  } cases[] = {
+      {"oom", Kind::Oom, Site::PoolAlloc},
+      {"eintr", Kind::Eintr, Site::SvmPrefault},
+      {"ebusy", Kind::Ebusy, Site::SvmPrefault},
+      {"sdma", Kind::CopyError, Site::AsyncCopy},
+      {"xnack", Kind::ReplayStorm, Site::XnackReplay},
+      {"kernel_hang", Kind::KernelHang, Site::KernelLaunch},
+      {"sdma_stall", Kind::SdmaStall, Site::AsyncCopy},
+      {"prefault_hang", Kind::PrefaultHang, Site::SvmPrefault},
+      {"xnack_livelock", Kind::XnackLivelock, Site::XnackReplay},
+      {"evict_storm", Kind::EvictStorm, Site::Eviction},
+      {"migration_stall", Kind::MigrationStall, Site::AutoMigrate},
+      {"thp_split_storm", Kind::ThpSplitStorm, Site::ThpSplit},
+      {"counter_loss", Kind::CounterLoss, Site::AccessCounter},
+      {"tenant_burst", Kind::TenantBurst, Site::TenantBurst},
+      {"admission_flap", Kind::AdmissionFlap, Site::AdmissionFlap},
+  };
+  for (const auto& c : cases) {
+    const std::string spec = std::string{c.token} + "@call=1";
+    const Schedule s = parse_spec(spec);
+    ASSERT_EQ(s.clauses.size(), 1u) << c.token;
+    EXPECT_EQ(s.clauses[0].kind, c.kind) << c.token;
+    EXPECT_EQ(s.clauses[0].site, c.site) << c.token;
+    EXPECT_EQ(to_string(s), spec);
+  }
+  try {
+    (void)parse_spec("bogus@call=1");
+    FAIL() << "expected FaultSpecError";
+  } catch (const FaultSpecError& e) {
+    EXPECT_STREQ(e.what(),
+                 "fault spec: unknown site 'bogus' in clause 'bogus@call=1' "
+                 "(expected oom|eintr|ebusy|sdma|xnack|kernel_hang|sdma_stall|"
+                 "prefault_hang|xnack_livelock|evict_storm|migration_stall|"
+                 "thp_split_storm|counter_loss|tenant_burst|admission_flap)");
   }
 }
 

@@ -1,15 +1,15 @@
 // The FastTrack-style happens-before detector: unsynchronized conflicting
-// accesses race regardless of the schedule that actually ran; every sync
-// primitive's release/acquire edge restores order; reports are
-// deterministic, and a poisoned variable yields exactly one report per run.
+// page accesses race regardless of the schedule that actually ran; every
+// sync primitive's release/acquire edge restores order; reports are
+// deterministic, and a poisoned page yields exactly one report per run.
 
 #include "zc/race/detector.hpp"
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 
-#include "zc/race/api.hpp"
 #include "zc/sim/scheduler.hpp"
 #include "zc/trace/race_trace.hpp"
 
@@ -21,6 +21,13 @@ using sim::Scheduler;
 
 constexpr std::uint64_t kPage = 2ULL << 20;
 
+/// A host access to one page by the running thread, as `host_touch` stamps
+/// it: the detector's shadow state is per page.
+void stamp_page(Scheduler& s, std::uint64_t page, bool is_write,
+                std::string_view site) {
+  s.hooks()->on_host_pages(page, 1, is_write, site);
+}
+
 TEST(Detector, UnsynchronizedWritesRaceOnEverySchedule) {
   // No interleaving needs to manifest the bug: two writes with no
   // happens-before path are a race even when the cooperative schedule ran
@@ -28,17 +35,14 @@ TEST(Detector, UnsynchronizedWritesRaceOnEverySchedule) {
   Scheduler s;
   Detector d{Detector::Mode::Report, kPage};
   d.attach(s);
-  int shared = 0;
   for (int t = 0; t < 2; ++t) {
-    s.spawn("writer" + std::to_string(t), [&] {
-      race::on_write(s, &shared, sizeof(shared), "shared-counter");
-      ++shared;
-    });
+    s.spawn("writer" + std::to_string(t),
+            [&] { stamp_page(s, 0, true, "shared-counter"); });
   }
   s.run();
-  ASSERT_EQ(d.trace().count(trace::RaceKind::Field), 1u);
+  ASSERT_EQ(d.trace().count(trace::RaceKind::Page), 1u);
   const trace::RaceReport& r = d.trace().records().front();
-  EXPECT_EQ(r.what, "shared-counter");
+  EXPECT_EQ(r.first.site, "shared-counter");
   EXPECT_TRUE(r.first.is_write);
   EXPECT_TRUE(r.second.is_write);
   EXPECT_NE(r.first.actor, r.second.actor);
@@ -49,7 +53,6 @@ TEST(Detector, PoisoningYieldsExactlyOneReportPerVariable) {
   Scheduler s;
   Detector d{Detector::Mode::Report, kPage};
   d.attach(s);
-  int shared = 0;
   for (int t = 0; t < 4; ++t) {
     // Appended piece by piece: GCC 12 flags `"literal" + std::to_string(n)`
     // with a false-positive -Wrestrict.
@@ -57,7 +60,7 @@ TEST(Detector, PoisoningYieldsExactlyOneReportPerVariable) {
     name += std::to_string(t);
     s.spawn(std::move(name), [&] {
       for (int i = 0; i < 8; ++i) {
-        race::on_write(s, &shared, sizeof(shared), "hot-field");
+        stamp_page(s, 0, true, "hot-field");
       }
     });
   }
@@ -74,7 +77,7 @@ TEST(Detector, MutexOrdersCriticalSections) {
   for (int t = 0; t < 3; ++t) {
     s.spawn("locked" + std::to_string(t), [&] {
       sim::LockGuard lock{m, s};
-      race::on_write(s, &shared, sizeof(shared), "guarded-field");
+      stamp_page(s, 0, true, "guarded-field");
       ++shared;
     });
   }
@@ -87,11 +90,9 @@ TEST(Detector, ReadReadIsNeverARace) {
   Scheduler s;
   Detector d{Detector::Mode::Report, kPage};
   d.attach(s);
-  const int shared = 7;
   for (int t = 0; t < 3; ++t) {
-    s.spawn("reader" + std::to_string(t), [&] {
-      race::on_read(s, &shared, sizeof(shared), "shared-input");
-    });
+    s.spawn("reader" + std::to_string(t),
+            [&] { stamp_page(s, 0, false, "shared-input"); });
   }
   s.run();
   EXPECT_TRUE(d.trace().empty());
@@ -101,13 +102,10 @@ TEST(Detector, UnorderedReadVsWriteRaces) {
   Scheduler s;
   Detector d{Detector::Mode::Report, kPage};
   d.attach(s);
-  int shared = 0;
-  s.spawn("reader", [&] {
-    race::on_read(s, &shared, sizeof(shared), "field/read-site");
-  });
+  s.spawn("reader", [&] { stamp_page(s, 0, false, "field/read-site"); });
   s.spawn("writer", [&] {
     s.advance(Duration::microseconds(1));
-    race::on_write(s, &shared, sizeof(shared), "field/write-site");
+    stamp_page(s, 0, true, "field/write-site");
   });
   s.run();
   ASSERT_EQ(d.trace().size(), 1u);
@@ -122,13 +120,13 @@ TEST(Detector, LatchReleaseAcquireOrdersProducerConsumer) {
   sim::Latch ready;
   int payload = 0;
   s.spawn("producer", [&] {
-    race::on_write(s, &payload, sizeof(payload), "payload");
+    stamp_page(s, 0, true, "payload");
     payload = 42;
     ready.set(s);
   });
   s.spawn("consumer", [&] {
     ready.wait(s);
-    race::on_read(s, &payload, sizeof(payload), "payload");
+    stamp_page(s, 0, false, "payload");
     EXPECT_EQ(payload, 42);
   });
   s.run();
@@ -139,23 +137,20 @@ TEST(Detector, SpawnEdgeOrdersParentBeforeChildButNotSiblings) {
   Scheduler s;
   Detector d{Detector::Mode::Report, kPage};
   d.attach(s);
-  int parent_field = 0;
-  int sibling_field = 0;
+  // The parent's variable lives on page 0, the siblings' on page 1.
   s.spawn("parent", [&] {
-    race::on_write(s, &parent_field, sizeof(int), "parent-field");
+    stamp_page(s, 0, true, "parent-field");
     // Child sees the parent's pre-fork write: ordered.
     s.spawn("child", [&] {
-      race::on_read(s, &parent_field, sizeof(int), "parent-field");
-      race::on_write(s, &sibling_field, sizeof(int), "sibling-field");
+      stamp_page(s, 0, false, "parent-field");
+      stamp_page(s, 1, true, "sibling-field");
     });
     // Siblings are concurrent with each other.
-    s.spawn("sibling", [&] {
-      race::on_write(s, &sibling_field, sizeof(int), "sibling-field");
-    });
+    s.spawn("sibling", [&] { stamp_page(s, 1, true, "sibling-field"); });
   });
   s.run();
-  EXPECT_EQ(d.trace().count(trace::RaceKind::Field), 1u);
-  EXPECT_EQ(d.trace().records().front().what, "sibling-field");
+  EXPECT_EQ(d.trace().count(trace::RaceKind::Page), 1u);
+  EXPECT_EQ(d.trace().records().front().first.site, "sibling-field");
 }
 
 TEST(Detector, BarrierOrdersPhases) {
@@ -163,14 +158,13 @@ TEST(Detector, BarrierOrdersPhases) {
   Detector d{Detector::Mode::Report, kPage};
   d.attach(s);
   sim::Barrier bar{2};
-  int phase1 = 0;
   s.spawn("a", [&] {
-    race::on_write(s, &phase1, sizeof(int), "phase1-field");
+    stamp_page(s, 0, true, "phase1-field");
     bar.arrive_and_wait(s);
   });
   s.spawn("b", [&] {
     bar.arrive_and_wait(s);
-    race::on_write(s, &phase1, sizeof(int), "phase1-field");
+    stamp_page(s, 0, true, "phase1-field");
   });
   s.run();
   EXPECT_TRUE(d.trace().empty());
@@ -180,11 +174,9 @@ TEST(Detector, AbortModeThrowsRaceErrorByDefault) {
   Scheduler s;
   Detector d{Detector::Mode::Abort, kPage};
   d.attach(s);
-  int shared = 0;
   for (int t = 0; t < 2; ++t) {
-    s.spawn("t" + std::to_string(t), [&] {
-      race::on_write(s, &shared, sizeof(int), "aborting-field");
-    });
+    s.spawn("t" + std::to_string(t),
+            [&] { stamp_page(s, 0, true, "aborting-field"); });
   }
   EXPECT_THROW(s.run(), RaceError);
   EXPECT_EQ(d.trace().size(), 1u);
@@ -197,11 +189,9 @@ TEST(Detector, AbortHandlerReplacesTheThrow) {
   std::string seen;
   d.set_abort_handler(
       [&seen](const trace::RaceReport& r) { seen = r.message; });
-  int shared = 0;
   for (int t = 0; t < 2; ++t) {
-    s.spawn("t" + std::to_string(t), [&] {
-      race::on_write(s, &shared, sizeof(int), "handled-field");
-    });
+    s.spawn("t" + std::to_string(t),
+            [&] { stamp_page(s, 0, true, "handled-field"); });
   }
   s.run();
   EXPECT_NE(seen.find("handled-field"), std::string::npos);
@@ -216,15 +206,12 @@ TEST(Detector, ReportsAreIdenticalAcrossStressSeeds) {
     s.enable_stress(seed);
     Detector d{Detector::Mode::Report, kPage};
     d.attach(s);
-    int shared = 0;
     for (int t = 0; t < 2; ++t) {
       // Appended piece by piece: GCC 12 flags `"literal" + std::to_string(n)`
       // with a false-positive -Wrestrict.
       std::string name = "w";
       name += std::to_string(t);
-      s.spawn(std::move(name), [&] {
-        race::on_write(s, &shared, sizeof(int), "seeded-field");
-      });
+      s.spawn(std::move(name), [&] { stamp_page(s, 0, true, "seeded-field"); });
     }
     s.run();
     ASSERT_EQ(d.trace().size(), 1u) << "seed " << seed;
@@ -241,12 +228,11 @@ TEST(Detector, QuiescentAccessesOutsideThreadsAreIgnored) {
   Scheduler s;
   Detector d{Detector::Mode::Abort, kPage};
   d.attach(s);
-  int shared = 0;
   // Pre-run configuration and post-run snapshots happen outside any
   // virtual thread; the detector must not see (or abort on) them.
-  race::on_write(s, &shared, sizeof(int), "quiescent");
-  s.run_single([&] { race::on_write(s, &shared, sizeof(int), "quiescent"); });
-  race::on_read(s, &shared, sizeof(int), "quiescent");
+  stamp_page(s, 0, true, "quiescent");
+  s.run_single([&] { stamp_page(s, 0, true, "quiescent"); });
+  stamp_page(s, 0, false, "quiescent");
   EXPECT_TRUE(d.trace().empty());
 }
 

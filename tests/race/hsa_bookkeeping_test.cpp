@@ -13,7 +13,6 @@
 #include "zc/apu/machine.hpp"
 #include "zc/hsa/runtime.hpp"
 #include "zc/mem/memory_system.hpp"
-#include "zc/race/api.hpp"
 #include "zc/race/detector.hpp"
 #include "zc/trace/race_trace.hpp"
 
@@ -30,14 +29,13 @@ TEST(HsaBookkeeping, AddsNoHappensBeforeEdge) {
   mem::MemorySystem mem{machine};
   hsa::Runtime rt{machine, mem};
 
-  // Each thread writes `shared` between two HSA calls. The second thread
+  // Each thread writes page 0 between two HSA calls. The second thread
   // runs after the first in virtual time (sleep_for emits no edge), so
   // the one thing between the two writes is the bookkeeping of the
   // first thread's last call and the second thread's first.
-  int shared = 0;
   auto body = [&] {
     (void)rt.signal_create();
-    race::on_write(sched, &shared, sizeof shared, "shared");
+    sched.hooks()->on_host_pages(0, 1, /*is_write=*/true, "shared");
     (void)rt.signal_create();
   };
   sched.spawn("first", body);
@@ -68,10 +66,9 @@ TEST(HsaBookkeeping, HbmAccountingAddsNoHappensBeforeEdge) {
   // requests keep each call short, so the first thread's second allocation
   // ends long before the second thread's first begins.
   const std::uint64_t bytes = machine.page_bytes() / 4;
-  int shared = 0;
   auto body = [&] {
     (void)rt.memory_pool_allocate(bytes, "before");
-    race::on_write(sched, &shared, sizeof shared, "shared");
+    sched.hooks()->on_host_pages(0, 1, /*is_write=*/true, "shared");
     (void)rt.memory_pool_allocate(bytes, "after");
   };
   sched.spawn("first", body);
@@ -83,7 +80,7 @@ TEST(HsaBookkeeping, HbmAccountingAddsNoHappensBeforeEdge) {
 
   ASSERT_EQ(detector.trace().size(), 1u);
   const trace::RaceReport& r = detector.trace().records().front();
-  EXPECT_EQ(r.kind, trace::RaceKind::Field);
+  EXPECT_EQ(r.kind, trace::RaceKind::Page);
   EXPECT_EQ(r.first.actor, "first");
   EXPECT_EQ(r.second.actor, "second");
 }

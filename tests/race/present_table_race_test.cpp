@@ -1,15 +1,15 @@
 // Regression harness for the PR-1 PresentTable bug: a faithful replica of
 // the pre-fix runtime logic (lookup-then-insert and refcount updates with
-// no lock) annotated with race::on_read/on_write. The detector must flag it
+// no lock) whose table accesses stamp one page. The detector must flag it
 // under every stress seed — the racy interleaving does not need to manifest
 // — and the mutex-guarded fixed version must be clean under the same seeds.
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 
 #include "zc/core/mapping.hpp"
-#include "zc/race/api.hpp"
 #include "zc/race/detector.hpp"
 #include "zc/sim/scheduler.hpp"
 #include "zc/trace/race_trace.hpp"
@@ -24,8 +24,7 @@ constexpr std::uint64_t kPage = 2ULL << 20;
 
 /// The pre-PR-1 target_data_begin/end sequence: presence lookup, insert on
 /// miss, refcount bump — straight onto the shared table, optionally under a
-/// lock. Accesses are annotated at the same grain the real runtime uses
-/// (the table as one logical variable).
+/// lock. The table is one logical variable, stamped as page 0.
 class PresentTableShim {
  public:
   PresentTableShim(Scheduler& sched, bool locked)
@@ -52,28 +51,28 @@ class PresentTableShim {
   [[nodiscard]] std::size_t size() const { return table_.size(); }
 
  private:
+  void stamp(bool is_write, std::string_view site) {
+    sched_.hooks()->on_host_pages(0, 1, is_write, site);
+  }
+
   void enter_unlocked(mem::AddrRange host) {
-    race::on_read(sched_, &table_, sizeof(table_), "PresentTable(shim)/lookup");
+    stamp(false, "PresentTable(shim)/lookup");
     omp::PresentEntry* e = table_.lookup(host.base);
     if (e == nullptr) {
-      race::on_write(sched_, &table_, sizeof(table_),
-                     "PresentTable(shim)/insert");
+      stamp(true, "PresentTable(shim)/insert");
       e = &table_.insert(host, host.base);
     }
-    race::on_write(sched_, &table_, sizeof(table_),
-                   "PresentTable(shim)/refcount++");
+    stamp(true, "PresentTable(shim)/refcount++");
     ++e->refcount;
   }
 
   void exit_unlocked(mem::AddrRange host) {
-    race::on_read(sched_, &table_, sizeof(table_), "PresentTable(shim)/lookup");
+    stamp(false, "PresentTable(shim)/lookup");
     omp::PresentEntry* e = table_.lookup(host.base);
     ASSERT_NE(e, nullptr);
-    race::on_write(sched_, &table_, sizeof(table_),
-                   "PresentTable(shim)/refcount--");
+    stamp(true, "PresentTable(shim)/refcount--");
     if (--e->refcount == 0) {
-      race::on_write(sched_, &table_, sizeof(table_),
-                     "PresentTable(shim)/erase");
+      stamp(true, "PresentTable(shim)/erase");
       table_.erase(host.base);
     }
   }
@@ -107,9 +106,9 @@ TEST(PresentTableRace, UnlockedShimIsFlaggedUnderEveryStressSeed) {
     d.attach(s);
     PresentTableShim shim{s, /*locked=*/false};
     run_mappers(s, shim);
-    EXPECT_GE(d.trace().count(trace::RaceKind::Field), 1u) << "seed " << seed;
+    EXPECT_GE(d.trace().count(trace::RaceKind::Page), 1u) << "seed " << seed;
     const trace::RaceReport& r = d.trace().records().front();
-    EXPECT_NE(r.what.find("PresentTable(shim)"), std::string::npos);
+    EXPECT_NE(r.first.site.find("PresentTable(shim)"), std::string::npos);
   }
 }
 
@@ -133,7 +132,7 @@ TEST(PresentTableRace, UnlockedShimIsAlsoFlaggedWithoutStress) {
   d.attach(s);
   PresentTableShim shim{s, /*locked=*/false};
   run_mappers(s, shim);
-  EXPECT_GE(d.trace().count(trace::RaceKind::Field), 1u);
+  EXPECT_GE(d.trace().count(trace::RaceKind::Page), 1u);
 }
 
 }  // namespace

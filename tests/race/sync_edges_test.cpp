@@ -50,8 +50,6 @@ class EdgeCounter final : public sim::ConcurrencyHooks {
     ++acquires_[static_cast<std::size_t>(kind)];
   }
   void on_lock_acquired(const sim::Mutex& /*m*/) override {}
-  void on_access(const void* /*addr*/, std::size_t /*bytes*/,
-                 std::string_view /*what*/, bool /*is_write*/) override {}
   int on_task_begin(std::string_view /*what*/, int /*device*/) override {
     return -1;
   }
