@@ -29,19 +29,4 @@ namespace zc::check {
 /// (the structural verdicts are config-independent by construction).
 [[nodiscard]] Analysis analyze(const OffloadIR& ir, omp::RuntimeConfig config);
 
-/// The may-race partition alone (also contained in `analyze`'s result).
-///
-/// A buffer is *proven safe* when either
-///  * **S1**: every op that touches it is issued by one thread and none of
-///    those ops is `nowait` (single-threaded, synchronous use), or
-///  * **S2**: all kernel/DMA access to it is read-only (only `to`/`alloc`
-///    map clauses and `Read` kernel uses) and at most one thread writes it
-///    on the host, with all of that thread's host writes preceding that
-///    thread's own first map/kernel op on the buffer (initialise-then-
-///    publish; the cross-thread publication edge is assumed from the
-///    program's construct structure — see DESIGN.md §16 for the caveat).
-/// Any `nowait` involvement, host free, device-pool aliasing, or failure
-/// of both rules leaves the buffer in the must-check set.
-[[nodiscard]] RacePartition partition_races(const OffloadIR& ir);
-
 }  // namespace zc::check

@@ -77,12 +77,24 @@ struct CheckTrace {
   [[nodiscard]] std::string to_string() const;
 };
 
-/// Result of the static may-race pass: host-address ranges proven free of
-/// unordered concurrent access, plus bookkeeping about how much of the
-/// program that covers. The race detector skips page-stamp bookkeeping for
-/// pages holding only `proven_safe` bytes ("report:pruned"); every page a
-/// `must_check` range touches stays fully instrumented, so no dynamic
-/// report inside the must-check set is lost.
+/// Result of the static may-race pass (`Analysis::partition`): host-address
+/// ranges proven free of unordered concurrent access, plus bookkeeping
+/// about how much of the program that covers. The race detector skips
+/// page-stamp bookkeeping for pages holding only `proven_safe` bytes
+/// ("report:pruned"); every page a `must_check` range touches stays fully
+/// instrumented, so no dynamic report inside the must-check set is lost.
+///
+/// A buffer is *proven safe* when either
+///  * **S1**: every op that touches it is issued by one thread and none of
+///    those ops is `nowait` (single-threaded, synchronous use), or
+///  * **S2**: all kernel/DMA access to it is read-only (only `to`/`alloc`
+///    map clauses and `Read` kernel uses) and at most one thread writes it
+///    on the host, with all of that thread's host writes preceding that
+///    thread's own first map/kernel op on the buffer (initialise-then-
+///    publish; the cross-thread publication edge is assumed from the
+///    program's construct structure — see DESIGN.md §16 for the caveat).
+/// Any `nowait` involvement, host free, device-pool aliasing, or failure
+/// of both rules leaves the buffer in the must-check set.
 struct RacePartition {
   std::vector<mem::AddrRange> proven_safe;  ///< sorted by base, disjoint
   std::vector<mem::AddrRange> must_check;   ///< sorted by base, disjoint

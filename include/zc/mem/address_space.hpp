@@ -109,11 +109,7 @@ class Allocation {
         return it->second;
       }
     }
-    if (placement_ != Placement::Interleaved) {
-      return home_socket_;
-    }
-    return static_cast<int>(
-        rel % static_cast<std::uint64_t>(placement_sockets_));
+    return policy_home(rel);
   }
 
   /// Home socket the placement policy alone would assign to relative page
@@ -146,33 +142,6 @@ class Allocation {
   /// touches first will home it.
   [[nodiscard]] std::uint64_t remote_pages(AddrRange range, int socket,
                                            std::uint64_t page_bytes) const;
-
-  /// HBM residency attribution, maintained by MemorySystem: how many of
-  /// this allocation's materialized pages are charged to socket `s`'s HBM.
-  /// Release credits exactly these counts back, so capacity accounting
-  /// cannot drift from residency no matter how pages migrated in between.
-  [[nodiscard]] std::uint64_t hbm_resident(int s) const {
-    return s >= 0 && static_cast<std::size_t>(s) < hbm_resident_.size()
-               ? hbm_resident_[static_cast<std::size_t>(s)]
-               : 0;
-  }
-  [[nodiscard]] const std::vector<std::uint64_t>& hbm_resident_all() const {
-    return hbm_resident_;
-  }
-  void hbm_resident_add(int s, std::uint64_t n, std::size_t sockets) {
-    if (hbm_resident_.size() < sockets) {
-      hbm_resident_.resize(sockets, 0);
-    }
-    if (s >= 0 && static_cast<std::size_t>(s) < hbm_resident_.size()) {
-      hbm_resident_[static_cast<std::size_t>(s)] += n;
-    }
-  }
-  void hbm_resident_sub(int s, std::uint64_t n) {
-    if (s >= 0 && static_cast<std::size_t>(s) < hbm_resident_.size()) {
-      std::uint64_t& r = hbm_resident_[static_cast<std::size_t>(s)];
-      r -= n <= r ? n : r;
-    }
-  }
 
   /// Extents that may hold non-zero data, sorted and coalesced (touching
   /// extents merge). Empty means the whole allocation reads as zero.
@@ -208,7 +177,6 @@ class Allocation {
   int placement_sockets_ = 1;  ///< stripe width for Interleaved
   bool home_resolved_ = true;  ///< false while FirstTouch is pending
   std::map<std::uint64_t, int> home_overrides_;  ///< partial-migration homes
-  std::vector<std::uint64_t> hbm_resident_;  ///< per-socket charged pages
   std::unique_ptr<std::byte, BackingFree> backing_;
   RunSet written_;  ///< byte offsets that may hold non-zero data
 };
@@ -265,17 +233,11 @@ class AddressSpace {
   /// std::out_of_range unless each range lies inside one allocation.
   void copy(VirtAddr dst, VirtAddr src, std::uint64_t bytes);
 
-  /// Visit every live allocation in address order (victim scans, debug
-  /// invariant sweeps). The callback must not allocate or free.
+  /// Visit every live allocation in address order (reclaim's victim
+  /// scan). The callback must not allocate or free.
   template <typename Fn>
   void for_each(Fn&& fn) const {
     for (const auto& [base, alloc] : allocs_) {
-      fn(*alloc);
-    }
-  }
-  template <typename Fn>
-  void for_each(Fn&& fn) {
-    for (auto& [base, alloc] : allocs_) {
       fn(*alloc);
     }
   }

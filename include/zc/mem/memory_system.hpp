@@ -67,9 +67,12 @@ struct MigrationCandidate {
 ///    observation for 457.spC / 470.bt.
 ///
 /// The system also accounts *physical* HBM occupancy per socket — the
-/// finite shared store that is the paper's whole premise. On an APU a page
-/// consumes HBM when it materializes (host touch, GPU demand fault, bulk
-/// population) and is credited back when its allocation is freed; on a
+/// finite shared store that is the paper's whole premise. On an APU one
+/// rule holds: `hbm_used(s)` counts the CPU-present, unspilled pages whose
+/// `Allocation::page_home` is `s`, and a page outside every allocation
+/// counts on socket 0. A page is charged when it materializes (host touch,
+/// GPU demand fault, prefault, bulk population) and credited or recharged
+/// by its home when it spills, promotes, migrates or is freed. On a
 /// discrete node pool allocations charge their full footprint against the
 /// device memory. Capacity is *enforced* only on the pool-allocation path
 /// (`try_pool_alloc` returns nullptr): real drivers fail allocations
@@ -207,49 +210,44 @@ class MemorySystem {
   /// `range` (THP=dynamic only). Returns spans newly split.
   std::uint64_t thp_split_range(AddrRange range);
 
-  /// Debug invariant: when enabled, every migrate/reclaim/free re-checks
-  /// that per-allocation residency attribution sums to the per-socket
-  /// capacity counters (`check_accounting`).
-  void set_debug_invariants(bool on) { debug_invariants_ = on; }
-  /// Throws std::logic_error when per-socket HBM occupancy disagrees with
-  /// the sum of per-allocation residency counters.
+  /// Throws std::logic_error when a socket's HBM counter disagrees with
+  /// its occupancy recomputed from page state (the rule in the class
+  /// comment). O(page-table runs); a no-op on a discrete node.
   void check_accounting() const;
 
  private:
   void release(VirtAddr base, MemKind expected);
-  /// Home socket of the allocation containing `a` (HBM attribution).
-  [[nodiscard]] int home_of(VirtAddr a) const;
   void charge(int socket, std::uint64_t bytes);
   void credit(int socket, std::uint64_t bytes);
-  /// Charge `pages` to `socket` and record them in the allocation's
-  /// residency vector — the one write path capacity accounting has, so
-  /// release/migrate/evict can credit exactly what was charged.
-  void charge_alloc(Allocation& a, int socket, std::uint64_t pages);
-  /// Credit one page, preferring `socket` but falling back to wherever the
-  /// allocation's charges actually landed (interleaved attribution is an
-  /// even split, not per-page), so the global sum never drifts.
-  void credit_page(Allocation& a, int socket);
-  /// Credit the allocation's entire HBM residency vector (whole-allocation
-  /// migrate and release).
-  void credit_all(Allocation& a);
-  /// Attribute `pages` newly created in the allocation containing `addr`:
-  /// an even split across sockets for interleaved placements, the home
-  /// socket otherwise.
-  void charge_created(VirtAddr addr, std::uint64_t pages);
+  /// Call `f(lo, hi, socket)` for runs of pages [lo, hi) covering
+  /// [first, end) that all have home `socket`: one step per allocation
+  /// with one home, page by page under stripes or partial-migration
+  /// overrides. A page outside every allocation is homed on socket 0.
+  template <typename F>
+  void for_each_home(std::uint64_t first, std::uint64_t end, F&& f) const;
+  /// Call `f(lo, hi)` for each run of HBM-resident pages in [first, end):
+  /// CPU-present and not spilled to DDR.
+  template <typename F>
+  void for_each_hbm_run(std::uint64_t first, std::uint64_t end,
+                        F&& f) const;
+  /// Charge (`sign` > 0) or credit every page of [first, end) to its home.
+  void account(std::uint64_t first, std::uint64_t end, int sign);
+  /// `account` over the HBM-resident pages of [first, end) only.
+  void account_resident(std::uint64_t first, std::uint64_t end, int sign);
+  /// The one way pages enter HBM: resolve the pending first-touch home of
+  /// every allocation in [first, end) to `socket`, insert the CPU pages
+  /// and, on an APU, charge the new ones to their homes. Returns how many
+  /// were new.
+  std::uint64_t materialize(std::uint64_t first, std::uint64_t end,
+                            int socket);
   /// Promote the DDR-spilled pages of [first, end) back to HBM (GPU fault
   /// or prefault touched them); returns the promoted count.
-  std::uint64_t promote_range(Allocation& a, std::uint64_t first,
-                              std::uint64_t end);
+  std::uint64_t promote_range(std::uint64_t first, std::uint64_t end);
   /// Access-counter sampling (no-op unless automigrate or pressure is on).
   void note_touch(AddrRange range, int socket);
   /// True when the THP split/collapse state machine is active.
   [[nodiscard]] bool thp_dynamic() const {
     return machine_.env().thp == apu::ThpMode::Dynamic;
-  }
-  void maybe_check_accounting() const {
-    if (debug_invariants_) {
-      check_accounting();
-    }
   }
 
   apu::Machine& machine_;
@@ -257,6 +255,8 @@ class MemorySystem {
   PageTable cpu_pt_;
   std::vector<PageTable> gpu_pt_;
   std::vector<Tlb> tlb_;
+  /// HBM bytes per socket: a counter, not a sum over page state, because
+  /// `pool_fits` and every reclaim step read it.
   std::vector<std::uint64_t> hbm_used_;
   std::uint64_t hbm_capacity_ = 0;
   RunSet ddr_pages_;    ///< spilled absolute page indices
@@ -270,7 +270,6 @@ class MemorySystem {
   std::map<std::uint64_t, Heat> heat_;
   std::uint64_t heat_epoch_ = 0;
   bool sample_counters_ = false;  ///< automigrate or pressure enabled
-  bool debug_invariants_ = false;
 };
 
 }  // namespace zc::mem

@@ -693,7 +693,6 @@ class Barrier {
     }
   }
 
-  [[nodiscard]] int parties() const { return parties_; }
   [[nodiscard]] int waiting() const { return arrived_; }
 
  private:

@@ -642,10 +642,6 @@ namespace {
 
 }  // namespace
 
-RacePartition partition_races(const OffloadIR& ir) {
-  return partition_from(ir, scan_refs(ir));
-}
-
 Analysis analyze(const OffloadIR& ir, omp::RuntimeConfig config) {
   Analysis res;
   std::vector<CheckFinding> findings;

@@ -219,16 +219,8 @@ void OffloadRuntime::set_recorder(check::Recorder* recorder) {
 
 mem::VirtAddr OffloadRuntime::host_alloc(std::uint64_t bytes,
                                          std::string name, int home_socket) {
-  check_device(home_socket);
-  apu::Machine& m = hsa_.machine();
-  m.sched().advance(m.jittered(m.costs().os_alloc_base));
-  mem::Allocation& a =
-      hsa_.memory().os_alloc(bytes, std::move(name), home_socket);
-  if (recorder_ != nullptr) {
-    recorder_->add_buffer(m.sched(), a.range(), a.name(),
-                          check::BufKind::Host);
-  }
-  return a.base();
+  return host_alloc_placed(bytes, std::move(name),
+                           mem::Placement::FixedHome, home_socket);
 }
 
 mem::VirtAddr OffloadRuntime::host_alloc_placed(std::uint64_t bytes,

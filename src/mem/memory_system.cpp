@@ -1,6 +1,7 @@
 #include "zc/mem/memory_system.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -35,11 +36,6 @@ MemorySystem::MemorySystem(apu::Machine& machine)
                      env.ompx_apu_pressure == apu::PressureMode::Watermarks;
 }
 
-int MemorySystem::home_of(VirtAddr a) const {
-  const Allocation* alloc = space_.find(a);
-  return alloc != nullptr ? alloc->home_socket() : 0;
-}
-
 void MemorySystem::charge(int socket, std::uint64_t bytes) {
   hbm_used_.at(static_cast<std::size_t>(socket)) += bytes;
 }
@@ -47,6 +43,82 @@ void MemorySystem::charge(int socket, std::uint64_t bytes) {
 void MemorySystem::credit(int socket, std::uint64_t bytes) {
   std::uint64_t& used = hbm_used_.at(static_cast<std::size_t>(socket));
   used -= std::min(used, bytes);
+}
+
+template <typename F>
+void MemorySystem::for_each_home(std::uint64_t first, std::uint64_t end,
+                                 F&& f) const {
+  const std::uint64_t pb = page_bytes();
+  for (std::uint64_t p = first; p < end;) {
+    const Allocation* a = space_.find(VirtAddr{p * pb});
+    if (a == nullptr) {
+      f(p, p + 1, 0);
+      ++p;
+      continue;
+    }
+    const std::uint64_t stop = std::min(end, a->range().end_page(pb));
+    if (a->placement() != Placement::Interleaved &&
+        a->home_overrides().empty()) {
+      f(p, stop, a->home_socket());
+      p = stop;
+      continue;
+    }
+    for (; p < stop; ++p) {
+      f(p, p + 1, a->page_home(VirtAddr{p * pb}, pb));
+    }
+  }
+}
+
+template <typename F>
+void MemorySystem::for_each_hbm_run(std::uint64_t first, std::uint64_t end,
+                                    F&& f) const {
+  cpu_pt_.pages().for_each_run(first, end,
+                               [&](std::uint64_t lo, std::uint64_t hi) {
+                                 ddr_pages_.for_each_gap(lo, hi, f);
+                               });
+}
+
+void MemorySystem::account(std::uint64_t first, std::uint64_t end,
+                           int sign) {
+  const std::uint64_t pb = page_bytes();
+  for_each_home(first, end, [&](std::uint64_t lo, std::uint64_t hi, int s) {
+    if (sign > 0) {
+      charge(s, (hi - lo) * pb);
+    } else {
+      credit(s, (hi - lo) * pb);
+    }
+  });
+}
+
+void MemorySystem::account_resident(std::uint64_t first, std::uint64_t end,
+                                    int sign) {
+  for_each_hbm_run(first, end, [&](std::uint64_t lo, std::uint64_t hi) {
+    account(lo, hi, sign);
+  });
+}
+
+std::uint64_t MemorySystem::materialize(std::uint64_t first,
+                                        std::uint64_t end, int socket) {
+  const std::uint64_t pb = page_bytes();
+  // First touch decides a pending home before any page is charged, so
+  // the pages land on it (the device that materializes owns).
+  for (std::uint64_t p = first; p < end;) {
+    Allocation* a = space_.find(VirtAddr{p * pb});
+    if (a != nullptr && a->home_pending()) {
+      a->resolve_home(socket);
+    }
+    p = a != nullptr ? a->range().end_page(pb) : p + 1;
+  }
+  std::uint64_t created = 0;
+  cpu_pt_.for_each_absent_run(first, end,
+                              [&](std::uint64_t lo, std::uint64_t hi) {
+                                created += hi - lo;
+                                if (machine_.is_apu()) {
+                                  account(lo, hi, +1);
+                                }
+                              });
+  cpu_pt_.insert_pages(first, end);
+  return created;
 }
 
 Allocation& MemorySystem::os_alloc(std::uint64_t bytes, std::string name,
@@ -63,75 +135,6 @@ Allocation& MemorySystem::os_alloc_placed(std::uint64_t bytes,
   Allocation& a = os_alloc(bytes, std::move(name), home_socket);
   a.set_placement(placement, static_cast<int>(gpu_pt_.size()));
   return a;
-}
-
-void MemorySystem::charge_alloc(Allocation& a, int socket,
-                                std::uint64_t pages) {
-  if (pages == 0) {
-    return;
-  }
-  charge(socket, pages * page_bytes());
-  a.hbm_resident_add(socket, pages, hbm_used_.size());
-}
-
-void MemorySystem::credit_page(Allocation& a, int socket) {
-  int s = socket;
-  if (a.hbm_resident(s) == 0) {
-    // Per-page homes and the even-split interleaved attribution can
-    // disagree page-by-page; credit wherever this allocation's charges
-    // actually landed so the global sum stays exact.
-    const std::vector<std::uint64_t>& v = a.hbm_resident_all();
-    std::uint64_t best = 0;
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      if (v[i] > best) {
-        best = v[i];
-        s = static_cast<int>(i);
-      }
-    }
-    if (best == 0) {
-      return;  // nothing charged: nothing to credit
-    }
-  }
-  credit(s, page_bytes());
-  a.hbm_resident_sub(s, 1);
-}
-
-void MemorySystem::credit_all(Allocation& a) {
-  const std::vector<std::uint64_t>& v = a.hbm_resident_all();
-  for (std::size_t s = 0; s < v.size(); ++s) {
-    if (v[s] > 0) {
-      credit(static_cast<int>(s), v[s] * page_bytes());
-    }
-  }
-  for (std::size_t s = 0; s < v.size(); ++s) {
-    a.hbm_resident_sub(static_cast<int>(s), a.hbm_resident(static_cast<int>(s)));
-  }
-}
-
-void MemorySystem::charge_created(VirtAddr addr, std::uint64_t pages) {
-  if (pages == 0) {
-    return;
-  }
-  Allocation* a = space_.find(addr);
-  if (a == nullptr) {
-    charge(0, pages * page_bytes());
-    return;
-  }
-  if (a->placement() == Placement::Interleaved) {
-    // Striped pages land on every socket; attribute an even split (exact
-    // per-page attribution would track which pages materialized — the
-    // even split keeps the counters right for whole-buffer touches, the
-    // overwhelmingly common shape).
-    const std::uint64_t k = hbm_used_.size();
-    for (std::uint64_t s = 0; s < k; ++s) {
-      const std::uint64_t share = pages / k + (s < pages % k ? 1 : 0);
-      if (share > 0) {
-        charge_alloc(*a, static_cast<int>(s), share);
-      }
-    }
-    return;
-  }
-  charge_alloc(*a, a->home_socket(), pages);
 }
 
 void MemorySystem::os_free(VirtAddr base) { release(base, MemKind::HostOs); }
@@ -156,11 +159,13 @@ Allocation* MemorySystem::try_pool_alloc(std::uint64_t bytes, std::string name,
   // translate them immediately (no XNACK), and on an APU the CPU can as
   // well, because the driver fulfilled the request from shared storage.
   gpu_pt(socket).insert_range(a.range());
-  std::uint64_t created_pages = a.range().page_count(space_.page_bytes());
+  const std::uint64_t pb = page_bytes();
   if (machine_.is_apu()) {
-    created_pages = cpu_pt_.insert_range(a.range());
+    (void)materialize(a.range().first_page(pb), a.range().end_page(pb),
+                      socket);
+  } else {
+    charge(socket, a.range().page_count(pb) * pb);
   }
-  charge_alloc(a, socket, created_pages);
   return &a;
 }
 
@@ -194,21 +199,19 @@ void MemorySystem::release(VirtAddr base, MemKind expected) {
                                 " API");
   }
   const AddrRange range = a->range();
-  // Credit exactly the HBM residency this allocation was charged: the per-
-  // socket attribution vector, maintained by every charge path, so capacity
-  // accounting cannot drift no matter how the pages migrated or spilled in
-  // between. Its DDR spill leaves with its pages below. On a discrete node
-  // only pool (VRAM) allocations charged.
-  if (machine_.is_apu()) {
-    credit_all(*a);
-  } else if (a->kind() == MemKind::DevicePool) {
-    credit(a->home_socket(), range.page_count(page_bytes()) * page_bytes());
-  }
-  // Drop per-page pressure state covering the freed range so stale
-  // entries can never select a dead page as a victim or candidate.
   const std::uint64_t pb = page_bytes();
   const std::uint64_t first = range.first_page(pb);
   const std::uint64_t end = range.end_page(pb);
+  // Credit the allocation's HBM-resident pages by home; its DDR spill
+  // leaves with its pages below. On a discrete node only pool (VRAM)
+  // allocations charged.
+  if (machine_.is_apu()) {
+    account_resident(first, end, -1);
+  } else if (a->kind() == MemKind::DevicePool) {
+    credit(a->home_socket(), range.page_count(pb) * pb);
+  }
+  // Drop per-page pressure state covering the freed range so stale
+  // entries can never select a dead page as a victim or candidate.
   ddr_pages_.erase(first, end);
   split_spans_.erase(first, end);
   heat_.erase(heat_.lower_bound(first), heat_.lower_bound(end));
@@ -218,7 +221,6 @@ void MemorySystem::release(VirtAddr base, MemKind expected) {
     tlb_[s].invalidate_range(range);
   }
   space_.free(base);
-  maybe_check_accounting();
 }
 
 std::uint64_t MemorySystem::host_touch(AddrRange range, int toucher_socket) {
@@ -227,23 +229,16 @@ std::uint64_t MemorySystem::host_touch(AddrRange range, int toucher_socket) {
   // kernel accesses, so a touch during an in-flight kernel with no
   // interposed completion edge is exactly the unified-memory data race the
   // detector exists to flag.
+  const std::uint64_t pb = page_bytes();
+  const std::uint64_t first = range.first_page(pb);
+  const std::uint64_t end = range.end_page(pb);
   if (sim::ConcurrencyHooks* h = machine_.sched().hooks()) {
     const Allocation* a = space_.find(range.base);
     const std::string site =
         "host_touch('" + (a != nullptr ? a->name() : std::string{"?"}) + "')";
-    const std::uint64_t pb = page_bytes();
-    h->on_host_pages(range.first_page(pb),
-                     range.end_page(pb) - range.first_page(pb),
-                     /*is_write=*/true, site);
+    h->on_host_pages(first, end - first, /*is_write=*/true, site);
   }
-  if (Allocation* a = space_.find(range.base);
-      a != nullptr && a->home_pending()) {
-    a->resolve_home(toucher_socket);
-  }
-  const std::uint64_t created = cpu_pt_.insert_range(range);
-  if (machine_.is_apu() && created > 0) {
-    charge_created(range.base, created);
-  }
+  const std::uint64_t created = materialize(first, end, toucher_socket);
   note_touch(range, toucher_socket);
   return created;
 }
@@ -300,48 +295,34 @@ FaultOutcome MemorySystem::gpu_fault_in(AddrRange range, int socket) {
   // expensive demand path), then inserts the translation into the GPU page
   // table. A GPU-side first touch homes the pages on the faulting socket
   // (the paper's first-touch lesson: the device that materializes owns).
-  if (Allocation* a = space_.find(range.base);
-      a != nullptr && a->home_pending()) {
-    a->resolve_home(socket);
-  }
   FaultOutcome out;
   PageTable& pt = gpu_pt(socket);
   const std::uint64_t pb = space_.page_bytes();
   const std::uint64_t first = range.first_page(pb);
   const std::uint64_t end = range.end_page(pb);
-  const bool track_pressure = !ddr_pages_.empty() || !split_spans_.empty();
   // Pages the GPU cannot yet translate fault; of those, pages the host
   // never materialized are additionally created (GPU-side first touch).
   // Only gpu-absent pages reach the host table — a page already GPU-mapped
   // never re-touches host state.
   pt.for_each_absent_run(first, end, [&](std::uint64_t a, std::uint64_t b) {
     out.faulted += b - a;
-    out.non_resident += cpu_pt_.insert_pages(a, b);
+    out.non_resident += materialize(a, b, socket);
     out.split_faulted += split_spans_.count(a, b);
   });
   pt.insert_pages(first, end);
-  if (machine_.is_apu() && out.non_resident > 0) {
-    charge_created(range.base, out.non_resident);
-  }
   // A GPU access to a DDR-spilled page promotes it back to HBM: the data
   // must return to the fast tier before the translation is useful.
-  if (track_pressure && machine_.is_apu()) {
-    if (Allocation* a = space_.find(range.base); a != nullptr) {
-      out.promoted = promote_range(*a, first, end);
-    }
-  }
+  out.promoted = promote_range(first, end);
   note_touch(range, socket);
   return out;
 }
 
-std::uint64_t MemorySystem::promote_range(Allocation& a, std::uint64_t first,
+std::uint64_t MemorySystem::promote_range(std::uint64_t first,
                                           std::uint64_t end) {
-  const std::uint64_t pb = page_bytes();
-  // One charge per page: per-page homes decide where each one lands.
+  // Spilled pages are CPU-present by construction: each one returns to
+  // HBM on its own home.
   ddr_pages_.for_each_run(first, end, [&](std::uint64_t lo, std::uint64_t hi) {
-    for (std::uint64_t p = lo; p < hi; ++p) {
-      charge_alloc(a, a.page_home(VirtAddr{p * pb}, pb), 1);
-    }
+    account(lo, hi, +1);
   });
   return ddr_pages_.erase(first, end);
 }
@@ -351,10 +332,6 @@ PrefaultOutcome MemorySystem::prefault(AddrRange range, int socket) {
   // mirror; untouched pages are bulk-created first (and reported, since
   // creation dominates their cost). Pages the prefetch path creates are
   // placed for the target GPU, so a pending first-touch resolves to it.
-  if (Allocation* a = space_.find(range.base);
-      a != nullptr && a->home_pending()) {
-    a->resolve_home(socket);
-  }
   PrefaultOutcome out;
   PageTable& pt = gpu_pt(socket);
   const std::uint64_t pb = space_.page_bytes();
@@ -362,27 +339,19 @@ PrefaultOutcome MemorySystem::prefault(AddrRange range, int socket) {
   const std::uint64_t end = range.end_page(pb);
   pt.for_each_absent_run(first, end, [&](std::uint64_t a, std::uint64_t b) {
     out.inserted += b - a;
-    out.materialized += cpu_pt_.insert_pages(a, b);
+    out.materialized += materialize(a, b, socket);
   });
   pt.insert_pages(first, end);
   out.present = (end - first) - out.inserted;
-  if (machine_.is_apu() && out.materialized > 0) {
-    charge_created(range.base, out.materialized);
-  }
-  if ((!ddr_pages_.empty() || !split_spans_.empty()) && machine_.is_apu()) {
-    Allocation* a = space_.find(range.base);
-    if (a != nullptr) {
-      // Prefetching spilled pages pulls them back into HBM in bulk.
-      out.promoted = promote_range(*a, first, end);
-      // A prefaulted span that is fully CPU-resident and back in the fast
-      // tier re-homogenized: khugepaged collapses it to one 2 MB mapping.
-      // Every split span is CPU-resident (spans split only while resident,
-      // and release drops both together), and the promotion above left no
-      // DDR page in range, so every split span in range collapses.
-      if (thp_dynamic()) {
-        out.collapsed = split_spans_.erase(first, end);
-      }
-    }
+  // Prefetching spilled pages pulls them back into HBM in bulk.
+  out.promoted = promote_range(first, end);
+  // A prefaulted span that is fully CPU-resident and back in the fast tier
+  // re-homogenized: khugepaged collapses it to one 2 MB mapping. Every
+  // split span is CPU-resident (spans split only while resident, and
+  // release drops both together), and the promotion above left no DDR
+  // page in range, so every split span in range collapses.
+  if (thp_dynamic() && machine_.is_apu()) {
+    out.collapsed = split_spans_.erase(first, end);
   }
   return out;
 }
@@ -430,19 +399,17 @@ std::uint64_t MemorySystem::migrate_pages(AddrRange range, int to_socket) {
       return 0;
     }
     const std::uint64_t resident = cpu_pt_.count_present(whole);
-    // Move the HBM attribution under the old placement, then collapse the
+    // Credit the HBM pages under the old placement, then collapse the
     // allocation onto its new fixed home. Spilled pages come along: the
     // migration copies them into the destination's HBM.
     if (machine_.is_apu()) {
-      credit_all(*a);
+      account_resident(whole_first, whole_end, -1);
       ddr_pages_.erase(whole_first, whole_end);
+      charge(to_socket, resident * pb);
     }
     a->set_placement(Placement::FixedHome, 1);
     a->set_home_socket(to_socket);
     a->clear_home_overrides();
-    if (machine_.is_apu() && resident > 0) {
-      charge_alloc(*a, to_socket, resident);
-    }
     // Remapped pages arrive as pristine huge mappings again.
     split_spans_.erase(whole_first, whole_end);
     // Migration remaps physical pages: every socket's GPU translations of
@@ -452,7 +419,6 @@ std::uint64_t MemorySystem::migrate_pages(AddrRange range, int to_socket) {
       gpu_pt_[s].remove_range(whole);
       tlb_[s].invalidate_range(whole);
     }
-    maybe_check_accounting();
     return resident;
   }
 
@@ -462,19 +428,18 @@ std::uint64_t MemorySystem::migrate_pages(AddrRange range, int to_socket) {
   bool rehomed_any = false;
   const bool split_moves = thp_dynamic();
   for (std::uint64_t p = first; p < end; ++p) {
-    const VirtAddr addr{p * pb};
-    if (a->page_home(addr, pb) == to_socket) {
+    const int cur = a->page_home(VirtAddr{p * pb}, pb);
+    if (cur == to_socket) {
       continue;  // already home: nothing to move, nothing to charge
     }
     rehomed_any = true;
-    const int cur = a->page_home(addr, pb);
     if (machine_.is_apu() && ddr_pages_.erase(p, p + 1) > 0) {
-      charge_alloc(*a, to_socket, 1);
+      charge(to_socket, pb);
       ++moved;
     } else if (cpu_pt_.present(p)) {
       if (machine_.is_apu()) {
-        credit_page(*a, cur);
-        charge_alloc(*a, to_socket, 1);
+        credit(cur, pb);
+        charge(to_socket, pb);
       }
       ++moved;
     }
@@ -488,7 +453,6 @@ std::uint64_t MemorySystem::migrate_pages(AddrRange range, int to_socket) {
   if (!rehomed_any) {
     // Fully idempotent call (every covered page already home): leave the
     // translations alone too — nothing was remapped.
-    maybe_check_accounting();
     return 0;
   }
   // Only the covered range's physical pages remapped: tear down exactly
@@ -498,7 +462,6 @@ std::uint64_t MemorySystem::migrate_pages(AddrRange range, int to_socket) {
     gpu_pt_[s].remove_range(covered);
     tlb_[s].invalidate_range(covered);
   }
-  maybe_check_accounting();
   return moved;
 }
 
@@ -548,11 +511,10 @@ ReclaimOutcome MemorySystem::reclaim(int socket, std::uint64_t target_bytes,
     std::uint64_t epoch;
     std::uint64_t tie;
     std::uint64_t page;
-    Allocation* alloc;
   };
   std::vector<Victim> victims;
   const std::uint64_t seed = machine_.seed();
-  space_.for_each([&](Allocation& a) {
+  space_.for_each([&](const Allocation& a) {
     if (a.kind() != MemKind::HostOs || a.home_pending()) {
       return;
     }
@@ -569,7 +531,7 @@ ReclaimOutcome MemorySystem::reclaim(int socket, std::uint64_t target_bytes,
         heat_key = it->second.count;
         epoch = it->second.epoch;
       }
-      victims.push_back(Victim{heat_key, epoch, mix64(seed ^ p), p, &a});
+      victims.push_back(Victim{heat_key, epoch, mix64(seed ^ p), p});
     }
   });
   std::sort(victims.begin(), victims.end(), [](const Victim& l, const Victim& r) {
@@ -586,12 +548,11 @@ ReclaimOutcome MemorySystem::reclaim(int socket, std::uint64_t target_bytes,
     if (out.evicted >= max_pages || hbm_used(socket) <= target_bytes) {
       break;
     }
-    Allocation& a = *v.alloc;
     // Spill: the page leaves HBM for the DDR tier. Its CPU entry stays
     // (the data is intact, just slower), so checksums are unaffected by
     // construction; the GPU translations everywhere are torn down and a
-    // later GPU access promotes the page back.
-    credit_page(a, socket);
+    // later GPU access promotes the page back. Victims are homed here.
+    credit(socket, pb);
     ddr_pages_.insert(v.page, v.page + 1);
     const AddrRange pr{VirtAddr{v.page * pb}, pb};
     for (std::size_t s = 0; s < gpu_pt_.size(); ++s) {
@@ -603,7 +564,6 @@ ReclaimOutcome MemorySystem::reclaim(int socket, std::uint64_t target_bytes,
     }
     ++out.evicted;
   }
-  maybe_check_accounting();
   return out;
 }
 
@@ -637,22 +597,24 @@ MigrationCandidate MemorySystem::take_migration_candidate(int threshold) {
 
 void MemorySystem::check_accounting() const {
   if (!machine_.is_apu()) {
-    return;  // discrete pool charges carry no per-allocation attribution
+    return;  // a discrete node charges pool footprints, not pages
   }
-  std::vector<std::uint64_t> expected(hbm_used_.size(), 0);
-  space_.for_each([&](const Allocation& a) {
-    const std::vector<std::uint64_t>& v = a.hbm_resident_all();
-    for (std::size_t s = 0; s < v.size() && s < expected.size(); ++s) {
-      expected[s] += v[s];
-    }
-  });
   const std::uint64_t pb = page_bytes();
+  std::vector<std::uint64_t> expected(hbm_used_.size(), 0);
+  for_each_hbm_run(0, std::numeric_limits<std::uint64_t>::max(),
+                   [&](std::uint64_t lo, std::uint64_t hi) {
+                     for_each_home(lo, hi, [&](std::uint64_t l,
+                                               std::uint64_t h, int s) {
+                       expected.at(static_cast<std::size_t>(s)) +=
+                           (h - l) * pb;
+                     });
+                   });
   for (std::size_t s = 0; s < hbm_used_.size(); ++s) {
-    if (expected[s] * pb != hbm_used_[s]) {
+    if (expected[s] != hbm_used_[s]) {
       throw std::logic_error(
           "MemorySystem accounting drift: socket " + std::to_string(s) +
           " hbm_used=" + std::to_string(hbm_used_[s]) +
-          " but allocations attribute " + std::to_string(expected[s] * pb));
+          " but its resident pages hold " + std::to_string(expected[s]));
     }
   }
 }

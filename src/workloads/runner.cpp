@@ -99,6 +99,9 @@ namespace {
   if (program.finalize) {
     result.checksum = program.finalize(stack);
   }
+  // HBM conservation: the counters must equal the occupancy recomputed
+  // from page state (throws std::logic_error on drift).
+  stack.memory().check_accounting();
   return result;
 }
 

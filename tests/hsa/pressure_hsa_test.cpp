@@ -39,7 +39,6 @@ class PressureHsaTest : public ::testing::Test {
     config.topology.hbm_bytes = hbm_pages * kPage;
     machine_ = std::make_unique<apu::Machine>(std::move(config));
     mem_ = std::make_unique<mem::MemorySystem>(*machine_);
-    mem_->set_debug_invariants(true);
     rt_ = std::make_unique<Runtime>(*machine_, *mem_);
   }
 

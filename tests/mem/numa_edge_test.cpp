@@ -27,7 +27,6 @@ apu::Machine::Config two_sockets(apu::ThpMode thp = apu::ThpMode::On) {
 TEST(NumaEdge, FirstTouchRacingConcurrentEvictionKeepsBooksBalanced) {
   apu::Machine machine{two_sockets()};
   MemorySystem mem{machine};
-  mem.set_debug_invariants(true);
   const std::uint64_t page = machine.page_bytes();
 
   Allocation& ft =
@@ -38,19 +37,24 @@ TEST(NumaEdge, FirstTouchRacingConcurrentEvictionKeepsBooksBalanced) {
     // Half the buffer materializes (resolving the pending home to socket
     // 0), the rest arrives after the evictor has already run once.
     mem.host_touch(AddrRange{ft.base(), 4 * page}, /*toucher_socket=*/0);
+    EXPECT_NO_THROW(mem.check_accounting());
     machine.sched().advance(10_us);
     mem.host_touch(AddrRange{ft.base() + 4 * page, 4 * page}, 0);
+    EXPECT_NO_THROW(mem.check_accounting());
   });
   machine.sched().spawn("evictor", [&] {
     mem.host_touch(filler.range(), 0);
+    EXPECT_NO_THROW(mem.check_accounting());
     // First pass: the first-touch buffer is only half resident — reclaim
     // may take any mix of filler and resolved first-touch pages, but a
-    // still-pending allocation must never be a victim (enforced by the
-    // accounting invariant re-checked inside every reclaim).
+    // still-pending allocation must never be a victim. The books are
+    // re-checked after each pass.
     machine.sched().advance(5_us);
     (void)mem.reclaim(0, 0, /*max_pages=*/6);
+    EXPECT_NO_THROW(mem.check_accounting());
     machine.sched().advance(20_us);
     (void)mem.reclaim(0, 0, /*max_pages=*/100);
+    EXPECT_NO_THROW(mem.check_accounting());
   });
   machine.sched().run();
 
@@ -65,7 +69,6 @@ TEST(NumaEdge, FirstTouchRacingConcurrentEvictionKeepsBooksBalanced) {
 TEST(NumaEdge, InterleavedMigrationStraddlingAThpSpanBoundary) {
   apu::Machine machine{two_sockets(apu::ThpMode::Dynamic)};
   MemorySystem mem{machine};
-  mem.set_debug_invariants(true);
   const std::uint64_t page = machine.page_bytes();
 
   // Stripe homes: rel 0 -> 0, rel 1 -> 1, rel 2 -> 0, rel 3 -> 1.
@@ -74,6 +77,7 @@ TEST(NumaEdge, InterleavedMigrationStraddlingAThpSpanBoundary) {
   mem.host_touch(a.range());
   ASSERT_EQ(mem.hbm_used(0), 2 * page);
   ASSERT_EQ(mem.hbm_used(1), 2 * page);
+  EXPECT_NO_THROW(mem.check_accounting());
 
   // A byte range starting mid-span 1 and ending mid-span 2: it covers two
   // huge spans with *different* stripe homes. Span 1 is already homed on
@@ -82,6 +86,7 @@ TEST(NumaEdge, InterleavedMigrationStraddlingAThpSpanBoundary) {
   EXPECT_EQ(mem.migrate_pages(straddle, /*to_socket=*/1), 1u);
   EXPECT_EQ(mem.hbm_used(0), page);
   EXPECT_EQ(mem.hbm_used(1), 3 * page);
+  EXPECT_NO_THROW(mem.check_accounting());
   // Only the moved span splits (the skipped one keeps its huge mapping).
   EXPECT_EQ(mem.split_spans(a.range()), 1u);
   // Device 1 now reaches only stripe-rel-0 remotely; device 0 lost rel 2.
@@ -98,7 +103,6 @@ TEST(NumaEdge, InterleavedMigrationStraddlingAThpSpanBoundary) {
 TEST(NumaEdge, MigrationDuringInFlightCrossApuCopyPreservesTheData) {
   apu::Machine machine{two_sockets()};
   MemorySystem mem{machine};
-  mem.set_debug_invariants(true);
   hsa::Runtime rt{machine, mem};
   const std::uint64_t page = machine.page_bytes();
 
@@ -109,6 +113,7 @@ TEST(NumaEdge, MigrationDuringInFlightCrossApuCopyPreservesTheData) {
   machine.sched().spawn("copier", [&] {
     mem.host_touch(src.range(), 0);
     mem.host_touch(dst.range(), 1);
+    EXPECT_NO_THROW(mem.check_accounting());
     std::memset(mem.space().translate(src.base()), 0x5a, 2 * page);
     // Cross-socket D2D copy: the SDMA engine holds the transfer in flight
     // well past the migrator's wake-up below.
@@ -124,6 +129,7 @@ TEST(NumaEdge, MigrationDuringInFlightCrossApuCopyPreservesTheData) {
     // program order on the copier), and the teardown/remap must leave the
     // books balanced.
     EXPECT_EQ(rt.migrate_pages(src.range(), /*device=*/1), 2u);
+    EXPECT_NO_THROW(mem.check_accounting());
   });
   machine.sched().run();
 

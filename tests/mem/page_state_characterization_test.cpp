@@ -172,16 +172,15 @@ std::string str(const ReclaimOutcome& o) {
 class PageStateCharacterization
     : public ::testing::TestWithParam<apu::ThpMode> {
  protected:
-  PageStateCharacterization() { mem_.set_debug_invariants(true); }
-
   AddrRange pages(const Allocation& a, std::uint64_t first,
                   std::uint64_t count) const {
     return AddrRange{a.base() + first * page_, count * page_};
   }
 
   /// The outcome of the step plus every range query over `ranges_`, with
-  /// byte counters in pages.
+  /// byte counters in pages, after checking the HBM books.
   std::string snapshot(const std::string& outcome) const {
+    mem_.check_accounting();
     std::string s = outcome;
     for (const AddrRange& r : ranges_) {
       s += " | gpu=" + std::to_string(mem_.gpu_absent_pages(r, 0)) + "/" +

@@ -1,8 +1,8 @@
 // Memory-pressure mechanics at the state layer: watermark reclaim into the
 // DDR spill tier, GPU-fault/prefault promotion back to HBM, access-counter
 // sampling and migration candidates, the THP split/collapse state machine,
-// and the accounting invariant that per-allocation residency attribution
-// can never drift from the per-socket capacity counters.
+// and the accounting invariant that each socket's HBM counter equals the
+// occupancy recomputed from page state: resident pages by their home.
 
 #include <gtest/gtest.h>
 
@@ -300,11 +300,10 @@ TEST_F(ThpDynamicTest, StaticThpModesNeverSplit) {
   EXPECT_EQ(out.split, 0u);
 }
 
-// --- accounting drift regression (debug invariants) ------------------------
+// --- accounting drift regression ------------------------------------------
 
 class AccountingTest : public ::testing::Test {
  protected:
-  AccountingTest() { mem_.set_debug_invariants(true); }
   apu::Machine machine_{pressured(/*sockets=*/4)};
   MemorySystem mem_{machine_};
   std::uint64_t page_ = machine_.page_bytes();
@@ -313,32 +312,41 @@ class AccountingTest : public ::testing::Test {
 TEST_F(AccountingTest, ResidencyAttributionNeverDriftsUnderPressureChurn) {
   // A torture sequence over every accounting path: interleaved striping,
   // partial and whole migration, eviction, fault-in promotion, release.
-  // With debug invariants on, every step cross-checks the per-allocation
-  // residency vectors against the per-socket capacity counters and the
-  // DDR tier; any drift throws std::logic_error out of the operation.
+  // Every step recomputes each socket's occupancy from page state and
+  // compares it with the counters; any drift throws std::logic_error.
   Allocation& inter =
       mem_.os_alloc_placed(8 * page_, "striped", Placement::Interleaved);
   mem_.host_touch(inter.range());
+  EXPECT_NO_THROW(mem_.check_accounting());
   Allocation& fixed = mem_.os_alloc(6 * page_, "fixed", /*home_socket=*/1);
   mem_.host_touch(fixed.range());
+  EXPECT_NO_THROW(mem_.check_accounting());
   (void)mem_.prefault(fixed.range(), 1);
+  EXPECT_NO_THROW(mem_.check_accounting());
 
   // Partial migrations create per-page overrides on both allocations.
   const AddrRange inter_head{inter.base(), 2 * page_};
   (void)mem_.migrate_pages(inter_head, 3);
+  EXPECT_NO_THROW(mem_.check_accounting());
   const AddrRange fixed_tail{fixed.base() + 4 * page_, 2 * page_};
   (void)mem_.migrate_pages(fixed_tail, 2);
+  EXPECT_NO_THROW(mem_.check_accounting());
 
   // Evict from several sockets, then promote some of it back.
   (void)mem_.reclaim(1, 0, 3);
+  EXPECT_NO_THROW(mem_.check_accounting());
   (void)mem_.reclaim(3, 0, 100);
+  EXPECT_NO_THROW(mem_.check_accounting());
   (void)mem_.gpu_fault_in(fixed.range(), 1);
+  EXPECT_NO_THROW(mem_.check_accounting());
 
   // Collapse one allocation onto a single home, then free both.
   (void)mem_.migrate_pages(inter.range(), 0);
+  EXPECT_NO_THROW(mem_.check_accounting());
   const VirtAddr fixed_base = fixed.base();
   const VirtAddr inter_base = inter.base();
   mem_.os_free(fixed_base);
+  EXPECT_NO_THROW(mem_.check_accounting());
   mem_.os_free(inter_base);
 
   EXPECT_EQ(mem_.ddr_used(), 0u);
@@ -358,6 +366,74 @@ TEST_F(AccountingTest, PoolChurnKeepsTheBooksBalanced) {
   mem_.pool_free(p.base());
   EXPECT_NO_THROW(mem_.check_accounting());
   EXPECT_EQ(mem_.hbm_used(2), 0u);
+}
+
+TEST_F(AccountingTest, StraddlingFaultChargesEachPageToItsOwnAllocation) {
+  // One GPU fault over a, the guard page after it and b. Each page is
+  // charged to its own home, so freeing a leaves b's page and the guard
+  // page the fault created on socket 0 (a page outside every allocation
+  // counts there).
+  Allocation& a = mem_.os_alloc(page_, "a", /*home_socket=*/0);
+  Allocation& b = mem_.os_alloc(page_, "b", /*home_socket=*/0);
+  ASSERT_EQ(b.base(), a.base() + 2 * page_);
+  mem_.host_touch(a.range());
+  mem_.host_touch(b.range());
+  ASSERT_EQ(mem_.reclaim(0, 0, /*max_pages=*/100).evicted, 2u);
+  ASSERT_EQ(mem_.hbm_used(0), 0u);
+
+  const FaultOutcome out =
+      mem_.gpu_fault_in(AddrRange{a.base(), 3 * page_}, 0);
+  EXPECT_EQ(out.non_resident, 1u);  // the guard page
+  EXPECT_EQ(out.promoted, 2u);
+  EXPECT_EQ(mem_.hbm_used(0), 3 * page_);
+  EXPECT_NO_THROW(mem_.check_accounting());
+
+  mem_.os_free(a.base());
+  EXPECT_EQ(mem_.cpu_resident_pages(b.range()), 1u);
+  EXPECT_EQ(mem_.hbm_used(0), 2 * page_);
+  EXPECT_NO_THROW(mem_.check_accounting());
+}
+
+TEST_F(AccountingTest, FaultIntoAPendingFirstTouchBufferResolvesItsHome) {
+  // A fault that runs from a into first-touch b materializes b's pages, so
+  // it decides b's home: a later touch from another socket cannot rehome
+  // pages that are already charged.
+  Allocation& a = mem_.os_alloc(page_, "a", /*home_socket=*/0);
+  Allocation& b =
+      mem_.os_alloc_placed(2 * page_, "b", Placement::FirstTouch);
+  ASSERT_EQ(b.base(), a.base() + 2 * page_);
+  (void)mem_.gpu_fault_in(AddrRange{a.base(), 4 * page_}, /*socket=*/2);
+  EXPECT_FALSE(b.home_pending());
+  EXPECT_EQ(b.home_socket(), 2);
+  mem_.host_touch(b.range(), /*toucher_socket=*/3);
+  EXPECT_EQ(mem_.hbm_used(0), 2 * page_);  // a and the guard page
+  EXPECT_EQ(mem_.hbm_used(2), 2 * page_);
+  EXPECT_NO_THROW(mem_.check_accounting());
+}
+
+TEST_F(AccountingTest, InterleavedPartialTouchChargesEachStripe) {
+  // Stripe homes are rel % 4, so relative pages 1-3 live on sockets 1-3.
+  Allocation& a =
+      mem_.os_alloc_placed(8 * page_, "striped", Placement::Interleaved);
+  EXPECT_EQ(mem_.host_touch(AddrRange{a.base() + page_, 3 * page_}), 3u);
+  EXPECT_EQ(mem_.hbm_used(0), 0u);
+  for (int s = 1; s < 4; ++s) {
+    EXPECT_EQ(mem_.hbm_used(s), page_) << "socket " << s;
+  }
+  EXPECT_NO_THROW(mem_.check_accounting());
+}
+
+TEST_F(AccountingTest, MigratedPageIsChargedToItsNewHomeWhenItMaterializes) {
+  // Moving untouched pages moves no data, but it does change their home:
+  // the touch that later materializes them charges that new home.
+  Allocation& a = mem_.os_alloc(4 * page_, "buf", /*home_socket=*/1);
+  EXPECT_EQ(mem_.migrate_pages(AddrRange{a.base() + 2 * page_, 2 * page_},
+                               /*to_socket=*/2),
+            0u);
+  EXPECT_EQ(mem_.host_touch(a.range(), 1), 4u);
+  EXPECT_EQ(mem_.hbm_used(1), 2 * page_);
+  EXPECT_EQ(mem_.hbm_used(2), 2 * page_);
+  EXPECT_NO_THROW(mem_.check_accounting());
 }
 
 }  // namespace
