@@ -42,8 +42,8 @@ class FaultEngine {
   Injection consult(Site site, sim::TimePoint now);
 
   /// Calls consulted so far at one site (the call-window trigger state).
-  /// Fired injections are counted where they act: each is recorded as a
-  /// `*Injected` fault record.
+  /// Fired injections are counted where they act: each is recorded as one
+  /// `Injected` fault record naming its kind.
   [[nodiscard]] std::uint64_t calls(Site site) const {
     return calls_[static_cast<std::size_t>(site)];
   }

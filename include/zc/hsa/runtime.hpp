@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "zc/apu/machine.hpp"
+#include "zc/fault/engine.hpp"
 #include "zc/hsa/kernel.hpp"
 #include "zc/hsa/signal.hpp"
 #include "zc/hsa/watchdog.hpp"
@@ -21,8 +22,10 @@
 
 namespace zc::hsa {
 
-/// Raised when the GPU touches memory it cannot translate and XNACK-replay
-/// is disabled — on real hardware, a fatal memory violation.
+/// Raised when a kernel touches memory outside the live allocation its
+/// buffer starts in (whatever XNACK's setting), or a page the GPU cannot
+/// translate while XNACK replay is disabled: on real hardware, a fatal
+/// memory violation.
 class GpuMemoryFault : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -204,7 +207,9 @@ class Runtime {
   /// with XNACK enabled, absent pages of OS-allocated buffers are faulted
   /// in page-by-page while the kernel runs (stall added to its duration and
   /// serialized on the driver); with XNACK disabled, touching an absent
-  /// page throws GpuMemoryFault. `not_before` delays the GPU-side start
+  /// page throws GpuMemoryFault. A buffer that does not lie inside one live
+  /// allocation throws GpuMemoryFault either way, before any of its pages
+  /// is faulted in. `not_before` delays the GPU-side start
   /// (dependence on earlier asynchronous work) without blocking the host.
   ///
   /// Failure surface: an injected `kernel_hang` (queue error before the
@@ -280,6 +285,11 @@ class Runtime {
   /// null base. `attempt` follows `FaultRecord::attempt`.
   void record_fault(trace::FaultEvent event, int device,
                     mem::AddrRange range = {}, int attempt = 0);
+  /// Record that `inj` fired on `device`: one `Injected` record carrying its
+  /// kind and factor, with `range` as in `record_fault`. Every injection
+  /// site calls this, the service's arrival and admission sites included.
+  void record_injection(const fault::Injection& inj, int device,
+                        mem::AddrRange range = {});
 
  private:
   [[nodiscard]] sim::Scheduler& sched() { return machine_.sched(); }
@@ -290,8 +300,8 @@ class Runtime {
 
   /// Build the forever-incomplete signal of a hang-injected operation:
   /// name it, record the injection, and register it with the watchdog.
-  Signal hung_signal(std::string name, trace::FaultEvent event, int device,
-                     mem::AddrRange range);
+  Signal hung_signal(std::string name, const fault::Injection& inj,
+                     int device, mem::AddrRange range);
 
   /// One watermark-reclaim pass and its price. Spills cold pages homed on
   /// `device` until `hbm_used <= target_bytes` (at most `max_pages`),

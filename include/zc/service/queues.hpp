@@ -40,7 +40,7 @@ struct DrrParams {
 struct Pick {
   QueuedJob job;
   /// True when the starvation watchdog, not the deficit round, selected
-  /// this job (surfaced as a `StarvationBoost` fault event).
+  /// this job (counted in `TenantServiceStats::starvation_boosts`).
   bool starvation_boost = false;
 };
 

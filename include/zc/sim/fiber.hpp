@@ -91,9 +91,9 @@ class Fiber {
   /// switch uses the _setjmp/_longjmp pair below — glibc's swapcontext
   /// performs a sigprocmask syscall per switch (~470 ns round trip measured
   /// on the dev box vs ~12 ns for _setjmp/_longjmp), which dominated the
-  /// whole DES event loop. Sanitizer builds stay on swapcontext throughout:
-  /// ASan/TSan intercept it and model the stack switch, while a cross-stack
-  /// longjmp would bypass their bookkeeping (see fiber.cpp).
+  /// whole DES event loop. Sanitizer builds stay on swapcontext throughout
+  /// and announce every switch to ASan/TSan, while a cross-stack longjmp
+  /// would bypass their bookkeeping (see fiber.cpp).
   ucontext_t ctx_{};
   ucontext_t resumer_{};
   jmp_buf jmp_{};          // fiber's suspended point (valid once started)
@@ -102,6 +102,12 @@ class Fiber {
   /// last resumed it; null (and unused) outside TSan builds.
   void* tsan_fiber_ = nullptr;
   void* tsan_resumer_ = nullptr;
+  /// AddressSanitizer switch state (unused outside ASan builds): the stack
+  /// bounds of the context that last resumed this fiber, which a switch
+  /// back must name, and the fiber's fake-stack handle while suspended.
+  const void* asan_resumer_bottom_ = nullptr;
+  std::size_t asan_resumer_size_ = 0;
+  void* asan_fake_stack_ = nullptr;
   bool started_ = false;
   bool finished_ = false;
   std::exception_ptr error_;

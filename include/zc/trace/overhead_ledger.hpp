@@ -19,22 +19,18 @@ namespace zc::trace {
 /// bookkeeping; readers see quiescent state.
 class OverheadLedger {
  public:
-  void add_alloc(sim::Duration d) {
-    mm_ += d;
-    mm_alloc_ += d;
-  }
-  void add_copy(sim::Duration d) {
-    mm_ += d;
-    mm_copy_ += d;
-  }
+  void add_alloc(sim::Duration d) { mm_alloc_ += d; }
+  void add_copy(sim::Duration d) { mm_copy_ += d; }
   void add_prefault(sim::Duration d) {
-    mm_ += d;
     mm_prefault_ += d;
     ++prefault_calls_;
   }
   void add_first_touch(sim::Duration d) { mi_ += d; }
 
-  [[nodiscard]] sim::Duration mm() const { return mm_; }
+  /// Durations are integer nanoseconds, so the sum is exact.
+  [[nodiscard]] sim::Duration mm() const {
+    return mm_alloc_ + mm_copy_ + mm_prefault_;
+  }
   [[nodiscard]] sim::Duration mm_alloc() const { return mm_alloc_; }
   [[nodiscard]] sim::Duration mm_copy() const { return mm_copy_; }
   [[nodiscard]] sim::Duration mm_prefault() const { return mm_prefault_; }
@@ -44,7 +40,6 @@ class OverheadLedger {
   void reset() { *this = OverheadLedger{}; }
 
  private:
-  sim::Duration mm_;
   sim::Duration mm_alloc_;
   sim::Duration mm_copy_;
   sim::Duration mm_prefault_;

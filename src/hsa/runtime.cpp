@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "zc/fault/engine.hpp"
-
 namespace zc::hsa {
 
 using sim::Duration;
@@ -59,11 +57,11 @@ void Runtime::count(int device, const DeviceCounters& delta) {
   }
 }
 
-Signal Runtime::hung_signal(std::string name, trace::FaultEvent event,
+Signal Runtime::hung_signal(std::string name, const fault::Injection& inj,
                             int device, mem::AddrRange range) {
   Signal sig;
   sig.set_name(std::move(name));
-  record_fault(event, device, range);
+  record_injection(inj, device, range);
   watchdog_.watch(sig, device);
   return sig;
 }
@@ -78,6 +76,17 @@ void Runtime::record_fault(trace::FaultEvent event, int device,
                                   .host_base = range.base.value,
                                   .bytes = range.bytes,
                                   .attempt = attempt});
+}
+
+void Runtime::record_injection(const fault::Injection& inj, int device,
+                               mem::AddrRange range) {
+  record_fault(trace::FaultRecord{.event = trace::FaultEvent::Injected,
+                                  .injected = inj.kind,
+                                  .device = device,
+                                  .time = sched().now(),
+                                  .host_base = range.base.value,
+                                  .bytes = range.bytes,
+                                  .factor = inj.factor});
 }
 
 Signal Runtime::signal_create() {
@@ -110,14 +119,7 @@ Runtime::ReclaimCharge Runtime::reclaim_to(int device,
       machine_.faults().consult(fault::Site::Eviction, sched().now());
   if (inj.kind == fault::Kind::EvictStorm) {
     factor = inj.factor;
-    record_fault(
-        trace::FaultRecord{.event = trace::FaultEvent::EvictStormInjected,
-                           .device = device,
-                           .time = sched().now(),
-                           .host_base = 0,
-                           .bytes = ro.evicted,
-                           .attempt = 0,
-                           .factor = inj.factor});
+    record_injection(inj, device, {{}, ro.evicted});
   }
   const std::uint64_t bytes = ro.evicted * mem_.page_bytes();
   // Per-page unmap/TLB-shootdown work on the driver, the SDMA writeback of
@@ -128,10 +130,6 @@ Runtime::ReclaimCharge Runtime::reclaim_to(int device,
       machine_.jittered(machine_.copy_duration(bytes)) +
       c.thp_split_per_span * static_cast<double>(ro.split);
   out.evicted = ro.evicted;
-  record_fault(trace::FaultEvent::PagesEvicted, device, {{}, bytes});
-  if (ro.split > 0) {
-    record_fault(trace::FaultEvent::ThpSplit, device, {{}, ro.split});
-  }
   devstats_.at(static_cast<std::size_t>(device)).evicted_pages += ro.evicted;
   return out;
 }
@@ -150,7 +148,6 @@ PoolAllocResult Runtime::try_memory_pool_allocate(std::uint64_t bytes,
   // can yield), and only a reclaim that comes up dry fails the call.
   const fault::Injection inj =
       machine_.faults().consult(fault::Site::PoolAlloc, sched().now());
-  trace::FaultEvent failure = trace::FaultEvent::OomInjected;
   bool failed = inj.kind == fault::Kind::Oom;
   std::uint64_t reclaimed = 0;
   Duration reclaim_cost;
@@ -166,10 +163,7 @@ PoolAllocResult Runtime::try_memory_pool_allocate(std::uint64_t bytes,
       reclaimed = rc.evicted;
       reclaim_cost = rc.cost;
     }
-    if (!mem_.pool_fits(bytes, device)) {
-      failed = true;
-      failure = trace::FaultEvent::HbmExhausted;
-    }
+    failed = !mem_.pool_fits(bytes, device);
   }
   if (failed) {
     // The failed driver round trip costs the base latency (the driver
@@ -184,7 +178,11 @@ PoolAllocResult Runtime::try_memory_pool_allocate(std::uint64_t bytes,
     if (count_in_ledger) {
       ledger_.add_alloc(dur);
     }
-    record_fault(failure, device, {{}, bytes});
+    if (inj.kind == fault::Kind::Oom) {
+      record_injection(inj, device, {{}, bytes});
+    } else {
+      record_fault(trace::FaultEvent::HbmExhausted, device, {{}, bytes});
+    }
     return PoolAllocResult{Status::OutOfMemory, {}};
   }
 
@@ -334,12 +332,11 @@ Signal Runtime::memory_async_copy(mem::VirtAddr dst, mem::VirtAddr src,
     // The engine wedges on this transfer: it stays occupied, but the
     // completion signal never fires. The watchdog (when configured) aborts
     // the operation after its budget; the caller then resubmits.
-    sig = hung_signal("sdma-copy@" + dst.to_string(),
-                      trace::FaultEvent::SdmaStallInjected, device,
+    sig = hung_signal("sdma-copy@" + dst.to_string(), inj, device,
                       {dst, bytes});
   } else if (sdma_error) {
     sig.complete_error(sched(), done);
-    record_fault(trace::FaultEvent::SdmaErrorInjected, device, {dst, bytes});
+    record_injection(inj, device, {dst, bytes});
   } else {
     sig.set_name("sdma-copy@" + dst.to_string());
     sig.complete(sched(), done);
@@ -396,8 +393,7 @@ PrefaultResult Runtime::try_svm_attributes_set_prefault(mem::AddrRange range,
     stats_.record(trace::HsaCall::SvmAttributesSet, dur);
     ledger_.add_prefault(dur);
     Signal stuck = hung_signal("svm-prefault@" + range.base.to_string(),
-                               trace::FaultEvent::PrefaultHangInjected, device,
-                               range);
+                               inj, device, range);
     stuck.wait(sched());
     return PrefaultResult{Status::TimedOut, {}};
   }
@@ -410,12 +406,11 @@ PrefaultResult Runtime::try_svm_attributes_set_prefault(mem::AddrRange range,
     const sim::Interval iv = machine_.driver(device).reserve(start, dur);
     sched().advance_to(iv.end);
     stats_.record(trace::HsaCall::SvmAttributesSet, dur);
-    const bool eintr = inj.kind == fault::Kind::Eintr;
-    record_fault(eintr ? trace::FaultEvent::EintrInjected
-                       : trace::FaultEvent::EbusyInjected,
-                 device, range);
+    record_injection(inj, device, range);
     ledger_.add_prefault(dur);
-    return PrefaultResult{eintr ? Status::Interrupted : Status::Busy, {}};
+    return PrefaultResult{
+        inj.kind == fault::Kind::Eintr ? Status::Interrupted : Status::Busy,
+        {}};
   }
 
   const mem::PrefaultOutcome out = mem_.prefault(range, device);
@@ -435,14 +430,6 @@ PrefaultResult Runtime::try_svm_attributes_set_prefault(mem::AddrRange range,
   const sim::Interval iv = machine_.driver(device).reserve(start, dur);
   sched().advance_to(iv.end);
   stats_.record(trace::HsaCall::SvmAttributesSet, dur);
-  if (out.promoted > 0) {
-    record_fault(trace::FaultEvent::PagesPromoted, device,
-                 {range.base, out.promoted * mem_.page_bytes()});
-  }
-  if (out.collapsed > 0) {
-    record_fault(trace::FaultEvent::ThpCollapsed, device,
-                 {range.base, out.collapsed});
-  }
   ledger_.add_prefault(dur);
   devstats_.at(static_cast<std::size_t>(device)).promoted_pages +=
       out.promoted;
@@ -527,9 +514,7 @@ Signal Runtime::dispatch_kernel(const KernelLaunch& launch, int host_thread,
   const fault::Injection kinj =
       machine_.faults().consult(fault::Site::KernelLaunch, sched().now());
   if (kinj.kind == fault::Kind::KernelHang) {
-    return hung_signal("kernel:" + launch.name,
-                       trace::FaultEvent::KernelHangInjected, launch.device,
-                       {});
+    return hung_signal("kernel:" + launch.name, kinj, launch.device, {});
   }
 
   // -- memory-pressure machinery, serviced on the dispatch path ------------
@@ -549,7 +534,7 @@ Signal Runtime::dispatch_kernel(const KernelLaunch& launch, int host_thread,
         machine_.faults().consult(fault::Site::AccessCounter, sched().now());
     if (cinj.kind == fault::Kind::CounterLoss) {
       mem_.counter_loss();
-      record_fault(trace::FaultEvent::CounterLossInjected, launch.device);
+      record_injection(cinj, launch.device);
     }
   }
   if (machine_.env().ompx_apu_automigrate.enabled && machine_.is_apu()) {
@@ -570,18 +555,9 @@ Signal Runtime::dispatch_kernel(const KernelLaunch& launch, int host_thread,
             fault::Site::AutoMigrate, sched().now());
         if (minj.kind == fault::Kind::MigrationStall) {
           mdur = mdur * minj.factor;
-          record_fault(trace::FaultRecord{
-              .event = trace::FaultEvent::MigrationStallInjected,
-              .device = launch.device,
-              .time = sched().now(),
-              .host_base = cand.page * pb,
-              .bytes = moved * pb,
-              .attempt = 0,
-              .factor = minj.factor});
+          record_injection(minj, launch.device, {pr.base, moved * pb});
         }
         pressure_time = pressure_time + mdur;
-        record_fault(trace::FaultEvent::AutoMigrated, cand.to_socket,
-                     {mem::VirtAddr{cand.page * pb}, moved * pb});
         devstats_.at(static_cast<std::size_t>(cand.to_socket)).migrated_pages +=
             moved;
       }
@@ -609,6 +585,16 @@ Signal Runtime::dispatch_kernel(const KernelLaunch& launch, int host_thread,
   }
   for (const BufferAccess& b : launch.buffers) {
     mem::Allocation* const a = mem_.space().find(b.addr);
+    // Like `svm_attributes_set` (EFAULT) and `memory_async_copy`, a kernel
+    // may only touch the allocation its buffer starts in: reaching past it
+    // is a memory violation that XNACK replay does not forgive.
+    if (!b.range().empty() &&
+        (a == nullptr || !a->range().contains(b.addr + (b.bytes - 1)))) {
+      throw GpuMemoryFault("kernel '" + launch.name + "': buffer of " +
+                           std::to_string(b.bytes) + " B at " +
+                           b.addr.to_string() +
+                           " is not within a live allocation");
+    }
     total_bytes += b.bytes;
     if (a != nullptr) {
       const std::uint64_t rp = a->remote_pages(b.range(), launch.device, page);
@@ -668,20 +654,12 @@ Signal Runtime::dispatch_kernel(const KernelLaunch& launch, int host_thread,
     const fault::Injection inj =
         machine_.faults().consult(fault::Site::XnackReplay, sched().now());
     if (inj.kind == fault::Kind::XnackLivelock) {
-      return hung_signal("kernel:" + launch.name,
-                         trace::FaultEvent::XnackLivelockInjected,
-                         launch.device, {{}, faults});
+      return hung_signal("kernel:" + launch.name, inj, launch.device,
+                         {{}, faults});
     }
     if (inj.kind == fault::Kind::ReplayStorm) {
       fault_time = fault_time * inj.factor;
-      record_fault(
-          trace::FaultRecord{.event = trace::FaultEvent::ReplayStormInjected,
-                             .device = launch.device,
-                             .time = sched().now(),
-                             .host_base = 0,
-                             .bytes = faults,
-                             .attempt = 0,
-                             .factor = inj.factor});
+      record_injection(inj, launch.device, {{}, faults});
     }
   }
 
@@ -695,11 +673,8 @@ Signal Runtime::dispatch_kernel(const KernelLaunch& launch, int host_thread,
     for (const BufferAccess& b : launch.buffers) {
       storm_split += mem_.thp_split_range(b.range());
     }
-    record_fault(trace::FaultEvent::ThpSplitStormInjected, launch.device,
-                 {{}, storm_split});
+    record_injection(tinj, launch.device, {{}, storm_split});
     if (storm_split > 0) {
-      record_fault(trace::FaultEvent::ThpSplit, launch.device,
-                   {{}, storm_split});
       pressure_time =
           pressure_time +
           c.thp_split_per_span * static_cast<double>(storm_split);
@@ -713,8 +688,6 @@ Signal Runtime::dispatch_kernel(const KernelLaunch& launch, int host_thread,
     pressure_time =
         pressure_time +
         machine_.jittered(c.promote_per_page * static_cast<double>(promoted));
-    record_fault(trace::FaultEvent::PagesPromoted, launch.device,
-                 {{}, promoted * page});
   }
   if (split_faulted > 0) {
     pressure_time =

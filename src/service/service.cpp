@@ -70,7 +70,6 @@ struct Core {
   std::uint64_t divergences = 0;
   std::vector<trace::ServiceJobRecord> records;
   std::vector<ShedRecord> sheds;
-  std::vector<trace::FaultRecord> events;
   bool saw_arrival = false;
   TimePoint first_arrival;
   TimePoint last_retire;
@@ -97,18 +96,6 @@ struct Dispatch {
   double occupancy = 0.0;  ///< budget occupancy of the target socket
 };
 
-void push_event(Core& c, trace::FaultEvent event, int device, TimePoint now,
-                int tenant, double factor = 1.0, std::uint64_t bytes = 0) {
-  trace::FaultRecord r;
-  r.event = event;
-  r.device = device;
-  r.time = now;
-  r.bytes = bytes;
-  r.factor = factor;
-  r.tenant = tenant;
-  c.events.push_back(r);
-}
-
 void shed_job(Core& c, const ServiceJobSpec& spec, TimePoint now,
               Duration retry_after, const std::string& why) {
   retry_after = max(retry_after, Duration::microseconds(1));
@@ -132,41 +119,29 @@ void shed_job(Core& c, const ServiceJobSpec& spec, TimePoint now,
               std::to_string(spec.id) + ": " + why + "; retry after " +
               retry_after.to_string(),
           spec.device}});
-  push_event(c, trace::FaultEvent::JobShed, spec.device, now, spec.tenant);
 }
 
-/// Handle breaker transitions (time-based or trip-born) for one tenant.
+/// Handle breaker transitions (time-based or trip-born) for one tenant:
+/// each opening is counted and starts the cooldown its sheds quote.
 void apply_transitions(
-    Core& c, int tenant, int device,
+    Core& c, int tenant,
     const std::vector<omp::CircuitBreaker::Transition>& transitions) {
   TenantAgg& a = c.tenants[static_cast<std::size_t>(tenant)];
   for (const auto& tr : transitions) {
-    switch (tr.to) {
-      case omp::CircuitBreaker::State::Open:
-        ++a.stats.breaker_opens;
-        a.breaker_opened_at = tr.at;
-        push_event(c, trace::FaultEvent::TenantBreakerOpened, device, tr.at,
-                   tenant);
-        break;
-      case omp::CircuitBreaker::State::Closed:
-        push_event(c, trace::FaultEvent::TenantBreakerClosed, device, tr.at,
-                   tenant);
-        break;
-      case omp::CircuitBreaker::State::HalfOpen:
-        break;  // probing is internal; only open/closed edges are events
+    if (tr.to == omp::CircuitBreaker::State::Open) {
+      ++a.stats.breaker_opens;
+      a.breaker_opened_at = tr.at;
     }
   }
 }
 
-void advance_breakers(Core& c, const ServiceParams& p, int sockets,
-                      TimePoint now) {
+void advance_breakers(Core& c, const ServiceParams& p, TimePoint now) {
   if (p.config.policy != ServicePolicy::Full) {
     return;
   }
   for (int t = 0; t < p.config.tenants; ++t) {
     apply_transitions(
-        c, t, t % sockets,
-        c.tenants[static_cast<std::size_t>(t)].breaker.advance_to(now));
+        c, t, c.tenants[static_cast<std::size_t>(t)].breaker.advance_to(now));
   }
 }
 
@@ -175,21 +150,15 @@ void advance_breakers(Core& c, const ServiceParams& p, int sockets,
 /// tenant 0); falling under the low watermark — or the drain phase —
 /// resumes paused tenants, highest priority first.
 void pressure_step(Core& c, const ServiceParams& p, OffloadStack& stack,
-                   int sockets, TimePoint now) {
+                   int sockets) {
   if (p.config.policy != ServicePolicy::Full) {
     return;
   }
-  auto resume = [&](int t) {
-    c.tenants[static_cast<std::size_t>(t)].paused = false;
-    push_event(c, trace::FaultEvent::JobResumed, t % sockets, now, t);
-  };
   if (c.arrivals_done) {
     // Drain: everything still queued must be allowed to finish (admission
     // control keeps gating actual dispatch).
-    for (int t = 0; t < p.config.tenants; ++t) {
-      if (c.tenants[static_cast<std::size_t>(t)].paused) {
-        resume(t);
-      }
+    for (TenantAgg& a : c.tenants) {
+      a.paused = false;
     }
     return;
   }
@@ -208,14 +177,13 @@ void pressure_step(Core& c, const ServiceParams& p, OffloadStack& stack,
       if (!a.paused && c.queue.queue_len(t) > 0) {
         a.paused = true;
         ++a.stats.deadmissions;
-        push_event(c, trace::FaultEvent::JobDeAdmitted, t % sockets, now, t);
         break;  // one tenant per pass: pressure relief is gradual
       }
     }
   } else if (worst < p.deadmit_low) {
-    for (int t = 0; t < p.config.tenants; ++t) {
-      if (c.tenants[static_cast<std::size_t>(t)].paused) {
-        resume(t);
+    for (TenantAgg& a : c.tenants) {
+      if (a.paused) {
+        a.paused = false;
         break;
       }
     }
@@ -267,8 +235,7 @@ std::optional<Dispatch> pick_job(Core& c, const ServiceParams& p,
         const fault::Injection inj =
             faults.consult(fault::Site::AdmissionFlap, now);
         if (inj.fired()) {
-          push_event(c, trace::FaultEvent::AdmissionFlapInjected,
-                     spec.device, now, spec.tenant);
+          stack.hsa().record_injection(inj, spec.device);
           fits = false;  // admission briefly reads "full"
         }
       }
@@ -281,8 +248,6 @@ std::optional<Dispatch> pick_job(Core& c, const ServiceParams& p,
     TenantAgg& a = c.tenants[t];
     if (pick->starvation_boost) {
       ++a.stats.starvation_boosts;
-      push_event(c, trace::FaultEvent::StarvationBoost, spec.device, now,
-                 spec.tenant);
     }
     c.charged[s] += footprint;
     ++c.in_flight;
@@ -342,8 +307,7 @@ double retire_job(Core& c, const ServiceParams& p, const Dispatch& d,
     ++a.stats.failed;
     rec.outcome = trace::ServiceJobOutcome::Failed;
     if (p.config.policy == ServicePolicy::Full) {
-      apply_transitions(c, d.spec.tenant, d.spec.device,
-                        a.breaker.record_trip(now));
+      apply_transitions(c, d.spec.tenant, a.breaker.record_trip(now));
     }
   }
   c.records.push_back(rec);
@@ -390,8 +354,8 @@ void worker_fiber(OffloadStack& stack, const ServiceParams& p,
     {
       LockGuard lock{sh->mu, sched};
       Core& c = sh->core.get(sched);
-      advance_breakers(c, p, sockets, sched.now());
-      pressure_step(c, p, stack, sockets, sched.now());
+      advance_breakers(c, p, sched.now());
+      pressure_step(c, p, stack, sockets);
       if (c.budget_ready) {
         dis = pick_job(c, p, stack, page, sched.now());
       }
@@ -476,9 +440,7 @@ void arrival_fiber(OffloadStack& stack, const ServiceParams& p,
       const auto extra = static_cast<std::uint64_t>(
           std::max(1.0, std::ceil(burst.factor)));
       arrivals.inject_burst(extra);
-      LockGuard lock{sh->mu, sched};
-      push_event(sh->core.get(sched), trace::FaultEvent::TenantBurstInjected,
-                 a.spec.device, sched.now(), a.spec.tenant, burst.factor);
+      stack.hsa().record_injection(burst, a.spec.device);
     }
     if (!a.gap.is_zero()) {
       sched.sleep_for(a.gap);
@@ -639,9 +601,6 @@ ServiceResult run_service(const ServiceParams& params) {
   const std::shared_ptr<SharedState>& sh = *slot;
   Core& c = sh->core.unguarded();  // stack destroyed; no threads left
   run.service_tenants = sh->final_stats;
-  for (const trace::FaultRecord& r : c.events) {
-    run.faults.record(r);
-  }
   ServiceResult result;
   result.run = std::move(run);
   result.jobs = std::move(c.records);

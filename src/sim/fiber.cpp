@@ -8,7 +8,13 @@
 // without these hooks it sees one OS thread hopping between stacks and
 // corrupts its shadow state (false reports or crashes). Every stack switch
 // below is announced with __tsan_switch_to_fiber immediately before the
-// swapcontext that performs it.
+// swapcontext that performs it. AddressSanitizer needs the same news: it
+// tracks the bounds of the stack it believes is running, and an exception
+// thrown on a fiber stack it was not told about (`__asan_handle_no_return`)
+// leaves its stack poisoning out of step, which later surfaces as false
+// stack-buffer-overflow and use-after-scope reports. So each switch is
+// bracketed by __sanitizer_start_switch_fiber, naming the destination
+// stack, and __sanitizer_finish_switch_fiber.
 #if defined(__has_feature)
 #if __has_feature(thread_sanitizer)
 #define APUZC_TSAN_FIBERS 1
@@ -40,6 +46,10 @@ void* __tsan_create_fiber(unsigned flags);
 void __tsan_destroy_fiber(void* fiber);
 void __tsan_switch_to_fiber(void* fiber, unsigned flags);
 }
+#endif
+
+#ifdef APUZC_ASAN_FIBERS
+#include <sanitizer/common_interface_defs.h>
 #endif
 
 namespace zc::sim {
@@ -120,6 +130,10 @@ void Fiber::recycle_stack() {
 void Fiber::trampoline() {
   Fiber* self = g_starting;
   g_starting = nullptr;
+#ifdef APUZC_ASAN_FIBERS
+  __sanitizer_finish_switch_fiber(nullptr, &self->asan_resumer_bottom_,
+                                  &self->asan_resumer_size_);
+#endif
   try {
     self->body_();
   } catch (...) {
@@ -129,6 +143,11 @@ void Fiber::trampoline() {
   g_current = nullptr;
 #ifdef APUZC_TSAN_FIBERS
   __tsan_switch_to_fiber(self->tsan_resumer_, 0);
+#endif
+#ifdef APUZC_ASAN_FIBERS
+  // This stack is dead once we leave it: a null save slot tells ASan so.
+  __sanitizer_start_switch_fiber(nullptr, self->asan_resumer_bottom_,
+                                 self->asan_resumer_size_);
 #endif
 #ifdef APUZC_FAST_SWITCH
   _longjmp(self->resumer_jmp_, 1);
@@ -166,7 +185,16 @@ void Fiber::resume() {
     _longjmp(jmp_, 1);
   }
 #else
-  if (swapcontext(&resumer_, &ctx_) != 0) {
+#ifdef APUZC_ASAN_FIBERS
+  void* resumer_fake_stack = nullptr;
+  __sanitizer_start_switch_fiber(&resumer_fake_stack, stack_.get(),
+                                 stack_bytes_);
+#endif
+  const int switched = swapcontext(&resumer_, &ctx_);
+#ifdef APUZC_ASAN_FIBERS
+  __sanitizer_finish_switch_fiber(resumer_fake_stack, nullptr, nullptr);
+#endif
+  if (switched != 0) {
 #ifdef APUZC_TSAN_FIBERS
     __tsan_switch_to_fiber(tsan_resumer_, 0);
 #endif
@@ -195,7 +223,18 @@ void Fiber::yield() {
     _longjmp(self->resumer_jmp_, 1);
   }
 #else
+#ifdef APUZC_ASAN_FIBERS
+  __sanitizer_start_switch_fiber(&self->asan_fake_stack_,
+                                 self->asan_resumer_bottom_,
+                                 self->asan_resumer_size_);
+#endif
   swapcontext(&self->ctx_, &self->resumer_);
+#ifdef APUZC_ASAN_FIBERS
+  // Resumed, possibly from a different context than the one we left.
+  __sanitizer_finish_switch_fiber(self->asan_fake_stack_,
+                                  &self->asan_resumer_bottom_,
+                                  &self->asan_resumer_size_);
+#endif
 #endif
 }
 

@@ -90,7 +90,7 @@ void ChromeTraceWriter::write(std::ostream& os) const {
   }
   for (const FaultRecord& f : fault_events_) {
     sep();
-    os << "{\"name\":\"" << to_string(f.event)
+    os << "{\"name\":\"" << to_string(f)
        << "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":4,\"tid\":" << f.device
        << ",\"ts\":" << f.time.since_start().us()
        << ",\"cat\":\"fault\",\"args\":{\"host_base\":" << f.host_base

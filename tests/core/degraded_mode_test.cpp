@@ -111,7 +111,7 @@ TEST(DegradedMode, EagerMapsRetriesTransientPrefaultWithBackoff) {
     ASSERT_DOUBLE_EQ(result[i], static_cast<double>(i) + 1.0);
   }
   const trace::FaultTrace& faults = stack->hsa().fault_trace();
-  EXPECT_EQ(faults.count(FaultEvent::EintrInjected), 3u);
+  EXPECT_EQ(faults.count(fault::Kind::Eintr), 3u);
   EXPECT_EQ(faults.count(FaultEvent::PrefaultRetry), 3u);
   EXPECT_EQ(faults.count(FaultEvent::PrefaultRetrySucceeded), 1u);
   EXPECT_FALSE(faults.any(FaultEvent::PrefaultFallbackXnack));
@@ -158,7 +158,7 @@ TEST(DegradedMode, ErroredAsyncCopyIsResubmittedOnce) {
     ASSERT_DOUBLE_EQ(result[i], static_cast<double>(i) + 1.0);
   }
   const trace::FaultTrace& faults = stack->hsa().fault_trace();
-  EXPECT_EQ(faults.count(FaultEvent::SdmaErrorInjected), 1u);
+  EXPECT_EQ(faults.count(fault::Kind::CopyError), 1u);
   EXPECT_EQ(faults.count(FaultEvent::CopyRetry), 1u);
   EXPECT_EQ(faults.count(FaultEvent::CopyRetrySucceeded), 1u);
   EXPECT_FALSE(faults.any(FaultEvent::RegionFailed));

@@ -154,7 +154,7 @@ std::string run(const Row& row) {
        << "\n";
   }
   for (const trace::FaultRecord& r : stack.hsa().fault_trace().records()) {
-    os << "fault " << trace::to_string(r.event) << " dev=" << r.device
+    os << "fault " << trace::to_string(r) << " dev=" << r.device
        << " t=" << r.time.ns() << " base=0x" << std::hex << r.host_base
        << std::dec << " bytes=" << r.bytes << " attempt=" << r.attempt
        << "\n";
@@ -405,7 +405,7 @@ calls hsa_amd_memory_pool_free 2
 calls hsa_amd_memory_async_copy 8
 calls hsa_queue_dispatch 3
 calls hsa_amd_svm_attributes_set 1
-fault oom-injected dev=0 t=13267381 base=0x0 bytes=32768 attempt=0
+fault oom dev=0 t=13267381 base=0x0 bytes=32768 attempt=0
 fault oom-fallback-zero-copy dev=0 t=13267381 base=0x600000 bytes=32768 attempt=0
 cache_hits 0
 breaker trips=1 opened=0 pressure=1
@@ -439,7 +439,7 @@ calls hsa_amd_memory_pool_free 1
 calls hsa_amd_memory_async_copy 6
 calls hsa_queue_dispatch 3
 calls hsa_amd_svm_attributes_set 0
-fault oom-injected dev=0 t=13267431 base=0x0 bytes=32768 attempt=0
+fault oom dev=0 t=13267431 base=0x0 bytes=32768 attempt=0
 fault oom-fallback-zero-copy dev=0 t=13267431 base=0x600000 bytes=32768 attempt=0
 decision dma-copy thread=0 dev=0 t=13255431 base=0x600000 bytes=32768
   pages=1 cpu_resident=0 gpu_absent=1 pressure=0 breaker=0 revised=0
@@ -483,15 +483,15 @@ calls hsa_amd_memory_pool_free 3
 calls hsa_amd_memory_async_copy 11
 calls hsa_queue_dispatch 9
 calls hsa_amd_svm_attributes_set 3
-fault kernel-hang-injected dev=0 t=13272781 base=0x0 bytes=0 attempt=0
+fault kernel_hang dev=0 t=13272781 base=0x0 bytes=0 attempt=0
 fault watchdog-trip dev=0 t=13412781 base=0x0 bytes=0 attempt=0
 fault watchdog-replay dev=0 t=13413181 base=0x0 bytes=0 attempt=1
 fault watchdog-recovered dev=0 t=13423201 base=0x0 bytes=0 attempt=2
-fault kernel-hang-injected dev=0 t=13454001 base=0x0 bytes=0 attempt=0
+fault kernel_hang dev=0 t=13454001 base=0x0 bytes=0 attempt=0
 fault watchdog-trip dev=0 t=13594001 base=0x0 bytes=0 attempt=0
 fault watchdog-replay dev=0 t=13594401 base=0x0 bytes=0 attempt=1
 fault watchdog-recovered dev=0 t=13604421 base=0x0 bytes=0 attempt=2
-fault kernel-hang-injected dev=0 t=13635221 base=0x0 bytes=0 attempt=0
+fault kernel_hang dev=0 t=13635221 base=0x0 bytes=0 attempt=0
 fault watchdog-trip dev=0 t=13775221 base=0x0 bytes=0 attempt=0
 fault breaker-opened dev=0 t=13775221 base=0x0 bytes=0 attempt=0
 fault watchdog-replay dev=0 t=13775621 base=0x0 bytes=0 attempt=1
@@ -535,15 +535,15 @@ calls hsa_amd_memory_pool_free 0
 calls hsa_amd_memory_async_copy 5
 calls hsa_queue_dispatch 9
 calls hsa_amd_svm_attributes_set 6
-fault kernel-hang-injected dev=0 t=13255381 base=0x0 bytes=0 attempt=0
+fault kernel_hang dev=0 t=13255381 base=0x0 bytes=0 attempt=0
 fault watchdog-trip dev=0 t=13395381 base=0x0 bytes=0 attempt=0
 fault watchdog-replay dev=0 t=13395781 base=0x0 bytes=0 attempt=1
 fault watchdog-recovered dev=0 t=14315901 base=0x0 bytes=0 attempt=2
-fault kernel-hang-injected dev=0 t=14317901 base=0x0 bytes=0 attempt=0
+fault kernel_hang dev=0 t=14317901 base=0x0 bytes=0 attempt=0
 fault watchdog-trip dev=0 t=14457901 base=0x0 bytes=0 attempt=0
 fault watchdog-replay dev=0 t=14458301 base=0x0 bytes=0 attempt=1
 fault watchdog-recovered dev=0 t=14468301 base=0x0 bytes=0 attempt=2
-fault kernel-hang-injected dev=0 t=14470301 base=0x0 bytes=0 attempt=0
+fault kernel_hang dev=0 t=14470301 base=0x0 bytes=0 attempt=0
 fault watchdog-trip dev=0 t=14610301 base=0x0 bytes=0 attempt=0
 fault breaker-opened dev=0 t=14610301 base=0x0 bytes=0 attempt=0
 fault watchdog-replay dev=0 t=14610701 base=0x0 bytes=0 attempt=1

@@ -106,7 +106,7 @@ void expect_path(const Path& p) {
   EXPECT_EQ(stack.sched().horizon().ns(), p.makespan_ns);
   std::vector<Rec> actual;
   for (const trace::FaultRecord& r : stack.hsa().fault_trace().records()) {
-    actual.push_back(Rec{trace::to_string(r.event), r.device, r.time.ns(),
+    actual.push_back(Rec{trace::to_string(r), r.device, r.time.ns(),
                          r.host_base, r.bytes});
   }
   EXPECT_EQ(describe(actual), describe(p.records));
@@ -120,7 +120,7 @@ TEST(RetryLadderCharacterization, CopyErrorRetriedThenOk) {
       .faults = "sdma@call=4",
       .makespan_ns = 13286351,
       .records = {
-          {"sdma-error-injected", 0, 13256881, 0x14600000, 8192},
+          {"sdma", 0, 13256881, 0x14600000, 8192},
           {"copy-retry", 0, 13259281, 0x200000, 8192},
           {"copy-retry-succeeded", 0, 13264681, 0x200000, 8192},
       },
@@ -134,9 +134,9 @@ TEST(RetryLadderCharacterization, CopyErrorExhausted) {
       .error = ErrorCode::CopyFailed,
       .makespan_ns = 13264681,
       .records = {
-          {"sdma-error-injected", 0, 13256881, 0x14600000, 8192},
+          {"sdma", 0, 13256881, 0x14600000, 8192},
           {"copy-retry", 0, 13259281, 0x200000, 8192},
-          {"sdma-error-injected", 0, 13262281, 0x14600000, 8192},
+          {"sdma", 0, 13262281, 0x14600000, 8192},
           {"region-failed", 0, 13264681, 0x200000, 8192},
       },
   });
@@ -149,7 +149,7 @@ TEST(RetryLadderCharacterization, CopyStallReplayedThenOk) {
       .watchdog = "150us:recover",
       .makespan_ns = 13474351,
       .records = {
-          {"sdma-stall-injected", 0, 13256881, 0x14600000, 8192},
+          {"sdma_stall", 0, 13256881, 0x14600000, 8192},
           {"watchdog-trip", 0, 13446881, 0x0, 0},
           {"watchdog-replay", 0, 13447281, 0x200000, 8192},
           {"watchdog-recovered", 0, 13452681, 0x200000, 8192},
@@ -165,13 +165,13 @@ TEST(RetryLadderCharacterization, CopyStallExhausted) {
       .error = ErrorCode::OperationHung,
       .makespan_ns = 13834081,
       .records = {
-          {"sdma-stall-injected", 0, 13256881, 0x14600000, 8192},
+          {"sdma_stall", 0, 13256881, 0x14600000, 8192},
           {"watchdog-trip", 0, 13446881, 0x0, 0},
           {"watchdog-replay", 0, 13447281, 0x200000, 8192},
-          {"sdma-stall-injected", 0, 13450281, 0x14600000, 8192},
+          {"sdma_stall", 0, 13450281, 0x14600000, 8192},
           {"watchdog-trip", 0, 13640281, 0x0, 0},
           {"watchdog-replay", 0, 13640681, 0x200000, 8192},
-          {"sdma-stall-injected", 0, 13643681, 0x14600000, 8192},
+          {"sdma_stall", 0, 13643681, 0x14600000, 8192},
           {"watchdog-trip", 0, 13833681, 0x0, 0},
           {"breaker-opened", 0, 13833681, 0x0, 0},
           {"region-failed", 0, 13834081, 0x200000, 8192},
@@ -186,7 +186,7 @@ TEST(RetryLadderCharacterization, KernelHangReplayedThenOk) {
       .watchdog = "200us:recover",
       .makespan_ns = 14404151,
       .records = {
-          {"kernel-hang-injected", 0, 13243381, 0x0, 0},
+          {"kernel_hang", 0, 13243381, 0x0, 0},
           {"watchdog-trip", 0, 13483381, 0x0, 0},
           {"watchdog-replay", 0, 13483781, 0x0, 0},
           {"watchdog-recovered", 0, 14403901, 0x0, 0},
@@ -202,13 +202,13 @@ TEST(RetryLadderCharacterization, KernelHangExhausted) {
       .error = ErrorCode::OperationHung,
       .makespan_ns = 13967581,
       .records = {
-          {"kernel-hang-injected", 0, 13243381, 0x0, 0},
+          {"kernel_hang", 0, 13243381, 0x0, 0},
           {"watchdog-trip", 0, 13483381, 0x0, 0},
           {"watchdog-replay", 0, 13483781, 0x0, 0},
-          {"kernel-hang-injected", 0, 13485281, 0x0, 0},
+          {"kernel_hang", 0, 13485281, 0x0, 0},
           {"watchdog-trip", 0, 13725281, 0x0, 0},
           {"watchdog-replay", 0, 13725681, 0x0, 0},
-          {"kernel-hang-injected", 0, 13727181, 0x0, 0},
+          {"kernel_hang", 0, 13727181, 0x0, 0},
           {"watchdog-trip", 0, 13967181, 0x0, 0},
           {"breaker-opened", 0, 13967181, 0x0, 0},
           {"region-failed", 0, 13967581, 0x0, 0},
@@ -224,7 +224,7 @@ TEST(RetryLadderCharacterization, KernelHangAbortMode) {
       .error = ErrorCode::OperationHung,
       .makespan_ns = 13483781,
       .records = {
-          {"kernel-hang-injected", 0, 13243381, 0x0, 0},
+          {"kernel_hang", 0, 13243381, 0x0, 0},
           {"watchdog-trip", 0, 13483381, 0x0, 0},
           {"region-failed", 0, 13483781, 0x0, 0},
       },
@@ -237,11 +237,11 @@ TEST(RetryLadderCharacterization, PrefaultEintrOkAfterRetries) {
       .faults = "eintr@call=1..3",
       .makespan_ns = 13656051,
       .records = {
-          {"eintr-injected", 0, 13243081, 0x200000, 8192},
+          {"eintr", 0, 13243081, 0x200000, 8192},
           {"prefault-retry", 0, 13243081, 0x200000, 8192},
-          {"eintr-injected", 0, 13294281, 0x200000, 8192},
+          {"eintr", 0, 13294281, 0x200000, 8192},
           {"prefault-retry", 0, 13294281, 0x200000, 8192},
-          {"eintr-injected", 0, 13395481, 0x200000, 8192},
+          {"eintr", 0, 13395481, 0x200000, 8192},
           {"prefault-retry", 0, 13395481, 0x200000, 8192},
           {"prefault-retry-succeeded", 0, 13645681, 0x200000, 8192},
       },
@@ -254,15 +254,15 @@ TEST(RetryLadderCharacterization, PrefaultEintrFallsBackToXnack) {
       .faults = "eintr@call=1..5",
       .makespan_ns = 14918251,
       .records = {
-          {"eintr-injected", 0, 13243081, 0x200000, 8192},
+          {"eintr", 0, 13243081, 0x200000, 8192},
           {"prefault-retry", 0, 13243081, 0x200000, 8192},
-          {"eintr-injected", 0, 13294281, 0x200000, 8192},
+          {"eintr", 0, 13294281, 0x200000, 8192},
           {"prefault-retry", 0, 13294281, 0x200000, 8192},
-          {"eintr-injected", 0, 13395481, 0x200000, 8192},
+          {"eintr", 0, 13395481, 0x200000, 8192},
           {"prefault-retry", 0, 13395481, 0x200000, 8192},
-          {"eintr-injected", 0, 13596681, 0x200000, 8192},
+          {"eintr", 0, 13596681, 0x200000, 8192},
           {"prefault-retry", 0, 13596681, 0x200000, 8192},
-          {"eintr-injected", 0, 13997881, 0x200000, 8192},
+          {"eintr", 0, 13997881, 0x200000, 8192},
           {"prefault-fallback-xnack", 0, 13997881, 0x200000, 8192},
       },
   });
@@ -279,15 +279,15 @@ TEST(RetryLadderCharacterization, PrefaultEintrFailsWithXnackOff) {
       .records = {
           {"hbm-exhausted", 0, 13253881, 0x0, 33554432},
           {"oom-fallback-zero-copy", 0, 13253881, 0x200000, 33554432},
-          {"eintr-injected", 0, 13255081, 0x200000, 33554432},
+          {"eintr", 0, 13255081, 0x200000, 33554432},
           {"prefault-retry", 0, 13255081, 0x200000, 33554432},
-          {"eintr-injected", 0, 13306281, 0x200000, 33554432},
+          {"eintr", 0, 13306281, 0x200000, 33554432},
           {"prefault-retry", 0, 13306281, 0x200000, 33554432},
-          {"eintr-injected", 0, 13407481, 0x200000, 33554432},
+          {"eintr", 0, 13407481, 0x200000, 33554432},
           {"prefault-retry", 0, 13407481, 0x200000, 33554432},
-          {"eintr-injected", 0, 13608681, 0x200000, 33554432},
+          {"eintr", 0, 13608681, 0x200000, 33554432},
           {"prefault-retry", 0, 13608681, 0x200000, 33554432},
-          {"eintr-injected", 0, 14009881, 0x200000, 33554432},
+          {"eintr", 0, 14009881, 0x200000, 33554432},
           {"region-failed", 0, 14009881, 0x200000, 33554432},
       },
   });
@@ -300,7 +300,7 @@ TEST(RetryLadderCharacterization, PrefaultHangReplayedThenOk) {
       .watchdog = "150us:recover",
       .makespan_ns = 13493651,
       .records = {
-          {"prefault-hang-injected", 0, 13243081, 0x200000, 8192},
+          {"prefault_hang", 0, 13243081, 0x200000, 8192},
           {"watchdog-trip", 0, 13433081, 0x0, 0},
           {"watchdog-replay", 0, 13433081, 0x200000, 8192},
           {"watchdog-recovered", 0, 13483281, 0x200000, 8192},
@@ -316,13 +316,13 @@ TEST(RetryLadderCharacterization, PrefaultHangExhausted) {
       .error = ErrorCode::OperationHung,
       .makespan_ns = 13815481,
       .records = {
-          {"prefault-hang-injected", 0, 13243081, 0x200000, 8192},
+          {"prefault_hang", 0, 13243081, 0x200000, 8192},
           {"watchdog-trip", 0, 13433081, 0x0, 0},
           {"watchdog-replay", 0, 13433081, 0x200000, 8192},
-          {"prefault-hang-injected", 0, 13434281, 0x200000, 8192},
+          {"prefault_hang", 0, 13434281, 0x200000, 8192},
           {"watchdog-trip", 0, 13624281, 0x0, 0},
           {"watchdog-replay", 0, 13624281, 0x200000, 8192},
-          {"prefault-hang-injected", 0, 13625481, 0x200000, 8192},
+          {"prefault_hang", 0, 13625481, 0x200000, 8192},
           {"watchdog-trip", 0, 13815481, 0x0, 0},
           {"breaker-opened", 0, 13815481, 0x0, 0},
           {"region-failed", 0, 13815481, 0x200000, 8192},

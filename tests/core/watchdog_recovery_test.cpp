@@ -77,7 +77,7 @@ TEST(WatchdogRecovery, HungKernelIsReplayedTransparently) {
                           "kernel_hang@call=1", "200us:recover");
   expect_incremented(run_increment(*stack, 1024), 1);
   const trace::FaultTrace& faults = stack->hsa().fault_trace();
-  EXPECT_EQ(faults.count(FaultEvent::KernelHangInjected), 1u);
+  EXPECT_EQ(faults.count(fault::Kind::KernelHang), 1u);
   EXPECT_EQ(faults.count(FaultEvent::WatchdogTrip), 1u);
   EXPECT_EQ(faults.count(FaultEvent::WatchdogReplay), 1u);
   EXPECT_EQ(faults.count(FaultEvent::WatchdogRecovered), 1u);
@@ -131,7 +131,7 @@ TEST(WatchdogRecovery, StalledCopyIsResubmitted) {
                           "150us:recover");
   expect_incremented(run_increment(*stack, 1024), 1);
   const trace::FaultTrace& faults = stack->hsa().fault_trace();
-  EXPECT_EQ(faults.count(FaultEvent::SdmaStallInjected), 1u);
+  EXPECT_EQ(faults.count(fault::Kind::SdmaStall), 1u);
   EXPECT_EQ(faults.count(FaultEvent::WatchdogTrip), 1u);
   EXPECT_EQ(faults.count(FaultEvent::WatchdogReplay), 1u);
   EXPECT_EQ(faults.count(FaultEvent::WatchdogRecovered), 1u);
@@ -142,7 +142,7 @@ TEST(WatchdogRecovery, StalledCopyIsResubmitted) {
 std::vector<std::string> events_of(const trace::FaultTrace& faults) {
   std::vector<std::string> out;
   for (const trace::FaultRecord& r : faults.records()) {
-    out.emplace_back(trace::to_string(r.event));
+    out.emplace_back(trace::to_string(r));
   }
   return out;
 }
@@ -157,7 +157,7 @@ TEST(WatchdogRecovery, StalledCopyResubmissionIsReplayedNotTakenAsSuccess) {
   expect_incremented(run_increment(*stack, 1024), 1);
   EXPECT_EQ(events_of(stack->hsa().fault_trace()),
             (std::vector<std::string>{
-                "sdma-error-injected", "copy-retry", "sdma-stall-injected",
+                "sdma", "copy-retry", "sdma_stall",
                 "watchdog-trip", "watchdog-replay", "watchdog-recovered",
                 "copy-retry-succeeded"}));
 }
@@ -187,8 +187,8 @@ TEST(WatchdogRecovery, ErroredCopyReplayIsRetriedBeforeRecoveryIsRecorded) {
   expect_incremented(run_increment(*stack, 1024), 1);
   EXPECT_EQ(events_of(stack->hsa().fault_trace()),
             (std::vector<std::string>{
-                "sdma-stall-injected", "watchdog-trip", "watchdog-replay",
-                "sdma-error-injected", "copy-retry", "watchdog-recovered",
+                "sdma_stall", "watchdog-trip", "watchdog-replay",
+                "sdma", "copy-retry", "watchdog-recovered",
                 "copy-retry-succeeded"}));
 }
 
@@ -261,7 +261,7 @@ TEST(WatchdogRecovery, AttemptIsTheOrdinalOfTheCallARecordReportsOn) {
           ladder.emplace_back(trace::to_string(r.event), r.attempt);
           break;
         default:
-          EXPECT_EQ(r.attempt, 0) << trace::to_string(r.event);
+          EXPECT_EQ(r.attempt, 0) << trace::to_string(r);
       }
     }
     EXPECT_EQ(ladder, c.ladder) << c.faults << " / " << c.watchdog;
@@ -273,7 +273,7 @@ TEST(WatchdogRecovery, HungPrefaultIsRetriedAfterTheAbort) {
                           "150us:recover");
   expect_incremented(run_increment(*stack, 1024), 1);
   const trace::FaultTrace& faults = stack->hsa().fault_trace();
-  EXPECT_EQ(faults.count(FaultEvent::PrefaultHangInjected), 1u);
+  EXPECT_EQ(faults.count(fault::Kind::PrefaultHang), 1u);
   EXPECT_EQ(faults.count(FaultEvent::WatchdogTrip), 1u);
   EXPECT_EQ(faults.count(FaultEvent::WatchdogReplay), 1u);
   EXPECT_EQ(faults.count(FaultEvent::WatchdogRecovered), 1u);
@@ -285,7 +285,7 @@ TEST(WatchdogRecovery, XnackLivelockIsReplayedLikeAHungKernel) {
                           "xnack_livelock@call=1", "300us:recover");
   expect_incremented(run_increment(*stack, 1024), 1);
   const trace::FaultTrace& faults = stack->hsa().fault_trace();
-  EXPECT_EQ(faults.count(FaultEvent::XnackLivelockInjected), 1u);
+  EXPECT_EQ(faults.count(fault::Kind::XnackLivelock), 1u);
   EXPECT_EQ(faults.count(FaultEvent::WatchdogTrip), 1u);
   EXPECT_EQ(faults.count(FaultEvent::WatchdogRecovered), 1u);
   EXPECT_FALSE(faults.any(FaultEvent::RegionFailed));

@@ -51,7 +51,7 @@ TEST_F(FaultInjectionTest, InjectedOomFailsExactlyTheScheduledCall) {
   });
   // The failed driver round trip is still a recorded, costed call.
   EXPECT_EQ(rt_->stats().count(HsaCall::MemoryPoolAllocate), 2u);
-  EXPECT_EQ(rt_->fault_trace().count(FaultEvent::OomInjected), 1u);
+  EXPECT_EQ(rt_->fault_trace().count(fault::Kind::Oom), 1u);
   EXPECT_FALSE(rt_->fault_trace().any(FaultEvent::HbmExhausted));
   const trace::FaultRecord& r = rt_->fault_trace().records()[0];
   EXPECT_EQ(r.bytes, machine_->page_bytes());
@@ -84,7 +84,7 @@ TEST_F(FaultInjectionTest, OrganicCapacityOomAndRecoveryViaFree) {
     EXPECT_TRUE(rt_->try_memory_pool_allocate(24 * page, "b2").ok());
   });
   EXPECT_EQ(rt_->fault_trace().count(FaultEvent::HbmExhausted), 2u);
-  EXPECT_FALSE(rt_->fault_trace().any(FaultEvent::OomInjected));
+  EXPECT_FALSE(rt_->fault_trace().any(fault::Kind::Oom));
 }
 
 TEST_F(FaultInjectionTest, EintrLeavesPageTablesUntouched) {
@@ -101,7 +101,7 @@ TEST_F(FaultInjectionTest, EintrLeavesPageTablesUntouched) {
     ASSERT_TRUE(ok.ok());
     EXPECT_EQ(ok.outcome.inserted, 4u);
     EXPECT_EQ(mem_->gpu_absent_pages(range), 0u);
-    EXPECT_EQ(rt_->fault_trace().count(FaultEvent::EintrInjected), 1u);
+    EXPECT_EQ(rt_->fault_trace().count(fault::Kind::Eintr), 1u);
     EXPECT_EQ(rt_->fault_trace().records()[0].host_base, a.base().value);
   });
   // Both the failed and successful syscalls are recorded calls.
@@ -116,7 +116,7 @@ TEST_F(FaultInjectionTest, EbusyIsDistinctFromEintr) {
         rt_->try_svm_attributes_set_prefault({a.base(), a.bytes()});
     EXPECT_EQ(failed.status, Status::Busy);
   });
-  EXPECT_EQ(rt_->fault_trace().count(FaultEvent::EbusyInjected), 1u);
+  EXPECT_EQ(rt_->fault_trace().count(fault::Kind::Ebusy), 1u);
 }
 
 TEST_F(FaultInjectionTest, PrefaultMisuseStillThrowsUnderFaultSchedule) {
@@ -151,7 +151,7 @@ TEST_F(FaultInjectionTest, SdmaErrorSuppressesTransferUntilResubmission) {
     EXPECT_EQ(d[1], 1);
     EXPECT_EQ(d[255], 255);
   });
-  EXPECT_EQ(rt_->fault_trace().count(FaultEvent::SdmaErrorInjected), 1u);
+  EXPECT_EQ(rt_->fault_trace().count(fault::Kind::CopyError), 1u);
 }
 
 TEST_F(FaultInjectionTest, ReplayStormInflatesFaultStall) {
@@ -173,7 +173,7 @@ TEST_F(FaultInjectionTest, ReplayStormInflatesFaultStall) {
     return d;
   };
   const Duration stormy = faulting_kernel_duration("xnack@call=1:x8");
-  EXPECT_EQ(rt_->fault_trace().count(FaultEvent::ReplayStormInjected), 1u);
+  EXPECT_EQ(rt_->fault_trace().count(fault::Kind::ReplayStorm), 1u);
   EXPECT_DOUBLE_EQ(rt_->fault_trace().records()[0].factor, 8.0);
   const Duration calm = faulting_kernel_duration("");
   EXPECT_TRUE(rt_->fault_trace().empty());

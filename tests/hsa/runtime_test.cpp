@@ -157,6 +157,8 @@ mem::AddrRange straddle_prefaulted(Runtime& rt, mem::MemorySystem& mem) {
 }
 
 TEST_F(HsaRuntimeTest, BufferPastAPrefaultedAllocationFaultsEveryAbsentPage) {
+  // XNACK replay does not forgive a buffer that runs out of its
+  // allocation: the dispatch raises a memory fault and faults nothing in.
   std::uint64_t absent = 0;
   run([&] {
     const mem::AddrRange r = straddle_prefaulted(rt_, mem_);
@@ -165,11 +167,36 @@ TEST_F(HsaRuntimeTest, BufferPastAPrefaultedAllocationFaultsEveryAbsentPage) {
                    .buffers = {{r.base, r.bytes, Access::Read}},
                    .compute = 1_us,
                    .body = {}};
-    rt_.run_kernel(k);
+    EXPECT_THROW(rt_.run_kernel(k), GpuMemoryFault);
+    EXPECT_EQ(mem_.gpu_absent_pages(r, 0), absent);
   });
   EXPECT_EQ(absent, 3u);
-  ASSERT_EQ(rt_.kernel_records().size(), 1u);
-  EXPECT_EQ(rt_.kernel_records()[0].page_faults, absent);
+  EXPECT_TRUE(rt_.kernel_records().empty());
+  EXPECT_EQ(rt_.device_counters()[0].page_faults, 0u);
+}
+
+TEST_F(HsaRuntimeTest, KernelBufferPastItsAllocationFaultsInNoPage) {
+  // A four-page buffer over a one-page allocation must fault nothing in,
+  // guard page included, even under XNACK: a page faulted in past the
+  // allocation would be taken over, already resident, by the next
+  // allocation while socket 0 kept its charge, and the books would drift.
+  apu::Machine::Config config;
+  config.topology.sockets = 2;
+  apu::Machine machine{std::move(config)};
+  mem::MemorySystem mem{machine};
+  Runtime rt{machine, mem};
+  const std::uint64_t page = machine.page_bytes();
+  machine.sched().run_single([&] {
+    mem::Allocation& a = mem.os_alloc(page, "a");
+    KernelLaunch k{.name = "overrun",
+                   .buffers = {{a.base(), 4 * page, Access::ReadWrite}},
+                   .compute = 1_us,
+                   .body = {}};
+    EXPECT_THROW(rt.run_kernel(k), GpuMemoryFault);
+    mem::Allocation& b = mem.os_alloc(page, "b", /*home_socket=*/1);
+    EXPECT_EQ(mem.cpu_resident_pages(b.range()), 0u);
+    EXPECT_NO_THROW(mem.check_accounting());
+  });
 }
 
 TEST_F(HsaRuntimeTest, XnackDisabledThrowsPastAPrefaultedAllocation) {

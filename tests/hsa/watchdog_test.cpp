@@ -61,7 +61,7 @@ TEST_F(WatchdogTest, KernelHangIsAbortedAtTheBudget) {
     // charged on the device's driver timeline on top of it.
     EXPECT_GE(machine_->sched().now(), submitted + 200_us);
   });
-  EXPECT_EQ(rt_->fault_trace().count(FaultEvent::KernelHangInjected), 1u);
+  EXPECT_EQ(rt_->fault_trace().count(fault::Kind::KernelHang), 1u);
   EXPECT_EQ(rt_->fault_trace().count(FaultEvent::WatchdogTrip), 1u);
 }
 
@@ -86,7 +86,7 @@ TEST_F(WatchdogTest, SdmaStallSuppressesBytesUntilResubmission) {
     EXPECT_EQ(d[1], 1);
     EXPECT_EQ(d[255], 255);
   });
-  EXPECT_EQ(rt_->fault_trace().count(FaultEvent::SdmaStallInjected), 1u);
+  EXPECT_EQ(rt_->fault_trace().count(fault::Kind::SdmaStall), 1u);
   EXPECT_EQ(rt_->fault_trace().count(FaultEvent::WatchdogTrip), 1u);
 }
 
@@ -103,7 +103,7 @@ TEST_F(WatchdogTest, PrefaultHangSurfacesAsTimedOut) {
     ASSERT_TRUE(ok.ok());
     EXPECT_EQ(ok.outcome.inserted, 4u);
   });
-  EXPECT_EQ(rt_->fault_trace().count(FaultEvent::PrefaultHangInjected), 1u);
+  EXPECT_EQ(rt_->fault_trace().count(fault::Kind::PrefaultHang), 1u);
   EXPECT_EQ(rt_->fault_trace().count(FaultEvent::WatchdogTrip), 1u);
 }
 
@@ -119,7 +119,7 @@ TEST_F(WatchdogTest, XnackLivelockIsAbortedLikeAHungKernel) {
     rt_->signal_wait_scacquire(sig);
     EXPECT_TRUE(sig.aborted());
   });
-  EXPECT_EQ(rt_->fault_trace().count(FaultEvent::XnackLivelockInjected), 1u);
+  EXPECT_EQ(rt_->fault_trace().count(fault::Kind::XnackLivelock), 1u);
   EXPECT_EQ(rt_->fault_trace().count(FaultEvent::WatchdogTrip), 1u);
 }
 
@@ -163,7 +163,7 @@ TEST_F(WatchdogTest, NoWatchdogHangDeadlocksNamingTheStuckSignal) {
     EXPECT_NE(what.find("Signal(kernel:vmc)"), std::string::npos) << what;
   }
   // The hang was still injected and recorded; nothing tripped.
-  EXPECT_EQ(rt_->fault_trace().count(FaultEvent::KernelHangInjected), 1u);
+  EXPECT_EQ(rt_->fault_trace().count(fault::Kind::KernelHang), 1u);
   EXPECT_EQ(rt_->fault_trace().count(FaultEvent::WatchdogTrip), 0u);
 }
 

@@ -77,10 +77,10 @@ TEST(FaultDegradation, LegacyCopyClimbsTheWholeDegradationLadder) {
   const RunResult r = run_program(prog, opts);
   EXPECT_GE(r.faults.count(FaultEvent::HbmExhausted), 1u);
   EXPECT_GE(r.faults.count(FaultEvent::OomFallbackZeroCopy), 1u);
-  EXPECT_EQ(r.faults.count(FaultEvent::EintrInjected), 3u);
+  EXPECT_EQ(r.faults.count(fault::Kind::Eintr), 3u);
   EXPECT_EQ(r.faults.count(FaultEvent::PrefaultRetry), 3u);
   EXPECT_EQ(r.faults.count(FaultEvent::PrefaultRetrySucceeded), 1u);
-  EXPECT_EQ(r.faults.count(FaultEvent::SdmaErrorInjected), 1u);
+  EXPECT_EQ(r.faults.count(fault::Kind::CopyError), 1u);
   EXPECT_EQ(r.faults.count(FaultEvent::CopyRetry), 1u);
   EXPECT_EQ(r.faults.count(FaultEvent::CopyRetrySucceeded), 1u);
   EXPECT_FALSE(r.faults.any(FaultEvent::RegionFailed));
@@ -95,7 +95,7 @@ TEST(FaultDegradation, EagerMapsRecoversAPrefaultBurst) {
   RunOptions opts{.config = RuntimeConfig::EagerMaps};
   opts.fault_spec = "eintr@call=1..3";
   const RunResult r = run_program(prog, opts);
-  EXPECT_EQ(r.faults.count(FaultEvent::EintrInjected), 3u);
+  EXPECT_EQ(r.faults.count(fault::Kind::Eintr), 3u);
   EXPECT_EQ(r.faults.count(FaultEvent::PrefaultRetrySucceeded), 1u);
   EXPECT_FALSE(r.faults.any(FaultEvent::PrefaultFallbackXnack));
   const RunResult clean =

@@ -78,12 +78,12 @@ TEST(HangMatrix, EverySiteFiresSomewhereInTheMatrix) {
   const Program prog = make_qmcpack(tiny_qmcpack());
   const struct {
     const char* schedule;
-    FaultEvent injected;
+    fault::Kind injected;
   } sites[] = {
-      {"kernel_hang@call=3", FaultEvent::KernelHangInjected},
-      {"sdma_stall@call=2", FaultEvent::SdmaStallInjected},
-      {"prefault_hang@call=1", FaultEvent::PrefaultHangInjected},
-      {"xnack_livelock@call=1", FaultEvent::XnackLivelockInjected},
+      {"kernel_hang@call=3", fault::Kind::KernelHang},
+      {"sdma_stall@call=2", fault::Kind::SdmaStall},
+      {"prefault_hang@call=1", fault::Kind::PrefaultHang},
+      {"xnack_livelock@call=1", fault::Kind::XnackLivelock},
   };
   for (const auto& site : sites) {
     bool fired = false;

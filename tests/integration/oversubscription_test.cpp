@@ -117,7 +117,11 @@ TEST(Oversubscription, WatermarksTurnPoolOomIntoReclaim) {
   EXPECT_EQ(graded.faults.count(FaultEvent::HbmExhausted), 0u);
   EXPECT_EQ(graded.faults.count(FaultEvent::OomFallbackZeroCopy), 0u);
   EXPECT_GT(graded.faults.count(FaultEvent::PoolReclaimed), 0u);
-  EXPECT_GT(graded.faults.count(FaultEvent::PagesEvicted), 0u);
+  EXPECT_GT(graded.totals().evicted_pages, 0u);
+  // The spill itself is pressure, not a fault: the trace holds only the
+  // allocations that degraded to a reclaim.
+  EXPECT_EQ(graded.faults.count(FaultEvent::PoolReclaimed),
+            graded.faults.records().size());
 
   EXPECT_EQ(graded.checksum, hard.checksum);
 }
@@ -133,9 +137,9 @@ TEST(Oversubscription, ZeroCopySweepsChurnTheSpillTier) {
   const RunResult pressured =
       run_program(prog, pressured_opts(RuntimeConfig::ImplicitZeroCopy, p, 1));
   // The second sweep revisits evicted chunks: pages spill on the watermark
-  // and promote back on the GPU fault, repeatedly.
-  EXPECT_GT(pressured.faults.count(FaultEvent::PagesEvicted), 0u);
-  EXPECT_GT(pressured.faults.count(FaultEvent::PagesPromoted), 0u);
+  // and promote back on the GPU fault, repeatedly. That churn is counted,
+  // not recorded as faults: this run injects none and never fails a call.
+  EXPECT_TRUE(pressured.faults.empty());
   ASSERT_FALSE(pressured.devices.empty());
   EXPECT_GT(pressured.devices[0].counters.evicted_pages, 0u);
   EXPECT_GT(pressured.devices[0].counters.promoted_pages, 0u);

@@ -99,8 +99,9 @@ TEST(ServiceRobustness, OverloadShedsTypedAndNeverExhaustsHbm) {
     EXPECT_NE(std::string{shed.error.what()}.find("retry after"),
               std::string::npos);
   }
-  // The shed ledger mirrors the fault trace's JobShed events.
-  EXPECT_EQ(r.run.faults.count(FaultEvent::JobShed), r.sheds.size());
+  // Shedding is the service doing its job, not a fault: the shed ledger
+  // records it, and this fault-free run's fault trace stays empty.
+  EXPECT_TRUE(r.run.faults.empty());
   // Something still completes for every tenant (overload != outage).
   for (const auto& t : r.run.service_tenants) {
     EXPECT_GT(t.completed, 0u) << "tenant " << t.tenant;
@@ -200,8 +201,6 @@ TEST(ServiceRobustness, BreakerIsolatesFaultedTenantAcrossSeeds) {
     // The victim visibly degrades: failures trip the breaker open.
     EXPECT_GT(victim.failed, 0u) << "seed " << seed;
     EXPECT_GE(victim.breaker_opens, 1u) << "seed " << seed;
-    EXPECT_GT(r.run.faults.count(FaultEvent::TenantBreakerOpened), 0u)
-        << "seed " << seed;
     // The bystander never notices: same offered set as the fault-free
     // baseline (arrival seed is fixed), all of it completed, checksum
     // bit-identical, no breaker activity.
@@ -229,7 +228,7 @@ TEST(ServiceRobustness, BreakerIsolatesFaultedTenantAcrossSeeds) {
 
 // Memory-pressure de-admission: a capped socket under Copy-config load
 // crosses the (lowered) watermark; the full policy pauses low-priority
-// tenants, records the events, and still drains everything it admitted.
+// tenants, counts the pauses, and still drains everything it admitted.
 TEST(ServiceRobustness, PressureDeAdmitsLowPriorityTenants) {
   ServiceParams p = overload_params(ServicePolicy::Full);
   p.arrival.jobs = 120;
@@ -242,11 +241,6 @@ TEST(ServiceRobustness, PressureDeAdmitsLowPriorityTenants) {
   EXPECT_EQ(r.checksum_divergences, 0u);
   EXPECT_GT(total(r.run.service_tenants, &TenantServiceStats::deadmissions),
             0u);
-  EXPECT_GT(r.run.faults.count(FaultEvent::JobDeAdmitted), 0u);
-  // Paused tenants resume (drain or low watermark): every de-admission
-  // eventually has a resume.
-  EXPECT_GE(r.run.faults.count(FaultEvent::JobResumed),
-            r.run.faults.count(FaultEvent::JobDeAdmitted));
   // Tenant 0 (highest priority) is never de-admitted.
   EXPECT_EQ(r.run.service_tenants[0].deadmissions, 0u);
 }
@@ -267,9 +261,9 @@ TEST(ServiceRobustness, ChaosSeedsStayConservativeAndDeterministic) {
         << "seed " << seed;
     EXPECT_EQ(r.checksum_divergences, 0u) << "seed " << seed;
     // The injected service faults actually fired and were recorded.
-    EXPECT_GT(r.run.faults.count(FaultEvent::TenantBurstInjected), 0u)
+    EXPECT_GT(r.run.faults.count(fault::Kind::TenantBurst), 0u)
         << "seed " << seed;
-    EXPECT_GT(r.run.faults.count(FaultEvent::AdmissionFlapInjected), 0u)
+    EXPECT_GT(r.run.faults.count(fault::Kind::AdmissionFlap), 0u)
         << "seed " << seed;
     for (const auto& shed : r.sheds) {
       EXPECT_EQ(shed.error.code(), ErrorCode::JobShed);

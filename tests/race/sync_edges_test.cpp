@@ -170,7 +170,7 @@ TEST(SyncEdges, LegacyCopyHangRecoveryEmitsOnlyProgramEdges) {
   stack.sched().set_hooks(nullptr);
 
   const trace::FaultTrace& faults = stack.hsa().fault_trace();
-  ASSERT_EQ(faults.count(FaultEvent::KernelHangInjected), 1u);
+  ASSERT_EQ(faults.count(fault::Kind::KernelHang), 1u);
   ASSERT_EQ(faults.count(FaultEvent::WatchdogTrip), 1u);
   ASSERT_EQ(faults.count(FaultEvent::WatchdogRecovered), 1u);
   ASSERT_EQ(stack.omp().breaker(0).total_trips(), 1u);

@@ -72,6 +72,7 @@ TEST(ChromeTrace, MultiDeviceEventsLandOnSeparateLanes) {
 
   FaultTrace faults;
   FaultRecord f;
+  f.injected = fault::Kind::KernelHang;
   f.device = 3;
   f.time = at(7);
   faults.record(f);
@@ -95,8 +96,10 @@ TEST(ChromeTrace, MultiDeviceEventsLandOnSeparateLanes) {
   EXPECT_NE(out.find("\"src_socket\":1"), std::string::npos);
   EXPECT_NE(out.find("\"dst_socket\":3"), std::string::npos);
   EXPECT_NE(out.find("\"cross_socket\":true"), std::string::npos);
-  // Fault lane (pid 4).
+  // Fault lane (pid 4), an injection named by its spec token.
   EXPECT_NE(out.find("\"pid\":4,\"tid\":3"), std::string::npos);
+  EXPECT_NE(out.find("\"name\":\"kernel_hang\",\"ph\":\"i\""),
+            std::string::npos);
   // Process-name metadata labels every lane.
   for (const char* lane : {"\"name\":\"host\"", "\"name\":\"gpu\"",
                            "\"name\":\"sdma\"", "\"name\":\"faults\""}) {
