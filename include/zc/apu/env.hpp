@@ -190,22 +190,15 @@ enum class ServicePolicy {
   return "?";
 }
 
-/// Parsed `OMPX_APU_SERVICE=<tenants>:<policy>`: how many tenants the
-/// service multiplexes and which rung of the policy ladder governs them.
-/// Zero tenants (the default) means the service layer is not in use.
+/// How many tenants the service multiplexes and which rung of the policy
+/// ladder governs them (`service::ServiceParams::config`). Zero tenants
+/// means the service is disabled.
 struct ServiceConfig {
   int tenants = 0;  ///< 0 = service disabled
   ServicePolicy policy = ServicePolicy::Off;
 
   [[nodiscard]] bool enabled() const { return tenants > 0; }
 };
-
-/// Parse an `OMPX_APU_SERVICE` value: `<tenants>:<policy>` with tenants a
-/// positive integer and policy one of `off`, `admit`, `fair`, `full`
-/// (case-insensitive). Throws `EnvError` on anything else — including a
-/// missing policy part, so an experiment can never silently run the wrong
-/// rung of the ladder.
-[[nodiscard]] ServiceConfig parse_service(const std::string& raw);
 
 /// The run environment knobs that steer configuration selection, mirroring
 /// the environment variables the paper describes:
@@ -244,10 +237,7 @@ struct ServiceConfig {
 ///                        zero-copy pages to DDR). See `PressureMode`;
 ///  * `OMPX_APU_AUTOMIGRATE` — access-counter automatic page migration:
 ///                        a boolean, or an integer >= 2 giving the remote
-///                        touch threshold. See `AutomigrateConfig`;
-///  * `OMPX_APU_SERVICE` — multi-tenant offload service configuration
-///                        `<tenants>:<policy>` (see `ServiceConfig`); unset
-///                        means the service layer is not in use.
+///                        touch threshold. See `AutomigrateConfig`.
 struct RunEnvironment {
   bool hsa_xnack = true;
   ApuMapsMode ompx_apu_maps = ApuMapsMode::Off;
@@ -267,7 +257,6 @@ struct RunEnvironment {
   fabric::FabricMode ompx_apu_fabric = fabric::FabricMode::Off;
   PressureMode ompx_apu_pressure = PressureMode::Off;
   AutomigrateConfig ompx_apu_automigrate;
-  ServiceConfig ompx_apu_service;
 
   /// Page size implied by the THP setting: 4 KB when off, 2 MB when on or
   /// dynamic.
@@ -290,9 +279,8 @@ struct RunEnvironment {
   /// OMPX_APU_FABRIC (exactly "off", "xgmi", or "uniform",
   /// case-insensitive), OMPX_APU_PRESSURE (exactly "off" or "watermarks",
   /// case-insensitive), OMPX_APU_AUTOMIGRATE (a boolean, or an integer
-  /// >= 2 giving the remote-touch threshold), OMPX_APU_SERVICE (parsed via
-  /// `parse_service`). THP additionally accepts "dynamic" (2 MB pages plus
-  /// the split/collapse state machine).
+  /// >= 2 giving the remote-touch threshold). THP additionally accepts
+  /// "dynamic" (2 MB pages plus the split/collapse state machine).
   [[nodiscard]] static RunEnvironment from_env(
       const std::map<std::string, std::string>& env, RunEnvironment base);
   /// `from_env` on top of the defaults.

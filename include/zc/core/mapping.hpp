@@ -137,11 +137,6 @@ class PresentTable {
 
  private:
   std::map<std::uint64_t, PresentEntry> entries_;  // keyed by host base
-  /// Most-recently-resolved entry: kernels translate many addresses out of
-  /// the same mapped buffer back-to-back, so this answers nearly every
-  /// lookup without the O(log n) tree walk. std::map nodes are stable, so
-  /// the pointer survives unrelated inserts; `erase` drops it.
-  PresentEntry* mru_ = nullptr;
 };
 
 }  // namespace zc::omp

@@ -392,7 +392,6 @@ class OffloadRuntime {
   bool image_loaded_ = false;
   sim::Latch image_latch_;  // set once the image is fully loaded
   std::unordered_set<int> initialized_threads_;
-  int last_init_tid_ = -1;  // memo: skip the set probe for repeat callers
   std::unordered_map<std::string, mem::VirtAddr> global_host_;
   std::vector<mem::AddrRange> global_ranges_;
   std::vector<mem::VirtAddr> image_allocs_;

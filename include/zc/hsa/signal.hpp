@@ -22,6 +22,8 @@ namespace zc::hsa {
 /// unblock its waiters.
 ///
 /// Handles are cheap shared references; copying a `Signal` shares state.
+/// The shared state reports its death to the hooks of the scheduler it was
+/// last completed or waited on, so it must not outlive that scheduler.
 class Signal {
  public:
   Signal() : state_{std::make_shared<State>()} {}
@@ -39,6 +41,7 @@ class Signal {
 
   /// Mark complete at virtual time `t` and wake blocked waiters.
   void complete(sim::Scheduler& sched, sim::TimePoint t) {
+    state_->sched = &sched;
     state_->complete_at = t;
     if (sim::ConcurrencyHooks* h = sched.hooks()) {
       if (sched.in_thread()) {
@@ -77,6 +80,7 @@ class Signal {
   /// Block/advance the current thread until completion; returns the time
   /// the caller spent blocked.
   sim::Duration wait(sim::Scheduler& sched) {
+    state_->sched = &sched;
     const sim::TimePoint before = sched.now();
     if (!state_->complete_at.has_value()) {
       state_->waiters.wait(sched, label());
@@ -94,6 +98,7 @@ class Signal {
   /// A signal already bound to a time at or before the deadline never
   /// times out; completion at exactly the deadline counts as completed.
   [[nodiscard]] bool wait_for(sim::Scheduler& sched, sim::Duration timeout) {
+    state_->sched = &sched;
     if (!state_->complete_at.has_value()) {
       if (!state_->waiters.wait_for(sched, timeout, label())) {
         return false;
@@ -111,11 +116,28 @@ class Signal {
 
  private:
   struct State {
+    State() = default;
+    State(const State&) = delete;
+    State& operator=(const State&) = delete;
+    /// The next signal's state may be born at this address, so the race
+    /// detector must forget the clock released into this one.
+    ~State() {
+      if (sched != nullptr) {
+        if (sim::ConcurrencyHooks* h = sched->hooks()) {
+          h->on_retire(this);
+        }
+      }
+    }
+
     std::optional<sim::TimePoint> complete_at;
     bool errored = false;
     bool aborted = false;
     std::string name;
     sim::WaitList waiters;
+    /// The scheduler last completed or waited on. Its hooks are looked up
+    /// at death, not cached: an observer may be swapped out (and destroyed)
+    /// before the last handle dies.
+    sim::Scheduler* sched = nullptr;
   };
 
   [[nodiscard]] std::string label() const {

@@ -97,6 +97,7 @@ class Detector final : public sim::ConcurrencyHooks {
   void on_release(const void* obj, sim::SyncKind kind) override;
   void on_acquire(const void* obj, sim::SyncKind kind) override;
   void on_lock_acquired(const sim::Mutex& m) override;
+  void on_retire(const void* obj) override;
   int on_task_begin(std::string_view what, int device) override;
   void on_task_pages(int task, std::uint64_t first_page, std::uint64_t pages,
                      bool is_write, std::string_view what) override;

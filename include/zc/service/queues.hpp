@@ -30,7 +30,7 @@ struct DrrParams {
   /// Head-of-line age beyond which the starvation watchdog force-serves a
   /// tenant regardless of its deficit.
   sim::Duration starvation_budget = sim::Duration::milliseconds(5);
-  /// Degraded baseline (`OMPX_APU_SERVICE=<n>:off|admit`): ignore deficits
+  /// Degraded baseline (policy `off` or `admit`): ignore deficits
   /// and weights and serve the globally oldest head — the FIFO collapse
   /// the fair policies are measured against.
   bool fifo = false;

@@ -13,8 +13,8 @@
 namespace zc::service {
 
 /// Configuration of one multi-tenant service run. The policy ladder
-/// (`apu::ServicePolicy`, i.e. the `OMPX_APU_SERVICE=<tenants>:<policy>`
-/// grammar) gates the machinery cumulatively:
+/// (`apu::ServicePolicy`, `config.policy`) gates the machinery
+/// cumulatively:
 ///
 ///   * `off`   — shared FIFO, unbounded queues, no admission control: the
 ///               collapse baseline every robustness claim is measured
@@ -31,8 +31,7 @@ namespace zc::service {
 /// Tenant 0 is the highest priority: DRR weights default to
 /// `tenants - index`, and de-admission pauses from the highest index down.
 struct ServiceParams {
-  /// Tenant count + policy, usually from `apu::parse_service` (the
-  /// `OMPX_APU_SERVICE` grammar). `config.tenants` must match
+  /// Tenant count + policy. `config.tenants` must match
   /// `arrival.tenants`; `run_service` enforces it.
   apu::ServiceConfig config{.tenants = 4,
                             .policy = apu::ServicePolicy::Full};

@@ -4,7 +4,6 @@
 #include <exception>
 #include <functional>
 #include <memory>
-#include <vector>
 
 #include <setjmp.h>
 #include <ucontext.h>
@@ -24,34 +23,10 @@ namespace zc::sim {
 /// the body are captured and rethrown from the `resume()` that observed the
 /// fiber finish. Not thread-safe: all fibers of a simulation run on one OS
 /// thread.
-/// Recycles fixed-size fiber stacks. A simulation spawns and retires
-/// thousands of short-lived virtual threads (one per modeled host thread
-/// per run, plus helpers); without pooling every spawn pays a 256 KiB heap
-/// allocation and first-touch page faults. The scheduler returns a stack to
-/// its pool as soon as the owning fiber finishes — the stack is dead the
-/// moment `resume()` observes `finished()`, long before the Fiber object
-/// itself is destroyed. Not thread-safe (the simulator is single-threaded).
-class FiberStackPool {
- public:
-  /// Pop a recycled stack of exactly `bytes` bytes, or allocate fresh.
-  [[nodiscard]] std::unique_ptr<char[]> acquire(std::size_t bytes);
-
-  /// Return a stack for reuse. Stacks whose size differs from the pool's
-  /// current block size are simply freed.
-  void release(std::unique_ptr<char[]> stack, std::size_t bytes);
-
- private:
-  std::size_t block_bytes_ = 0;
-  std::vector<std::unique_ptr<char[]>> free_;
-};
-
 class Fiber {
  public:
-  /// `pool`, when given, supplies the stack and receives it back via
-  /// `recycle_stack()`; it must outlive the fiber's stack use.
   explicit Fiber(std::function<void()> body,
-                 std::size_t stack_bytes = kDefaultStackBytes,
-                 FiberStackPool* pool = nullptr);
+                 std::size_t stack_bytes = kDefaultStackBytes);
   ~Fiber();
 
   Fiber(const Fiber&) = delete;
@@ -69,8 +44,7 @@ class Fiber {
   /// True once the body has returned (or thrown).
   [[nodiscard]] bool finished() const { return finished_; }
 
-  /// Return the stack of a finished fiber to the pool it was drawn from
-  /// (no-op for unfinished fibers, pool-less fibers free the stack). The
+  /// Free the stack of a finished fiber (no-op for unfinished fibers). The
   /// context of a finished fiber is never resumed, so its stack is dead.
   void recycle_stack();
 
@@ -84,7 +58,6 @@ class Fiber {
 
   std::function<void()> body_;
   std::unique_ptr<char[]> stack_;
-  FiberStackPool* pool_ = nullptr;
   std::size_t stack_bytes_ = 0;
   /// ucontext pair for a fiber's *first* entry only: makecontext is the one
   /// portable way to start executing on a fresh stack. Every subsequent

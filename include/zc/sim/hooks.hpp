@@ -75,6 +75,11 @@ class ConcurrencyHooks {
   /// already contains `m`). Feeds the lock-order graph.
   virtual void on_lock_acquired(const Mutex& m) = 0;
 
+  /// The synchronization object `obj` is gone: no edge will ever name it
+  /// again, and a later object may be born at the same address. Emitted by
+  /// an `hsa::Signal`'s shared state when it dies.
+  virtual void on_retire(const void* /*obj*/) {}
+
   /// A field-level read or write by the current thread. Nothing in the
   /// simulator emits it and the detector ignores it; it stays only for
   /// observers that count every hook.

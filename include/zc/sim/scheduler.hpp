@@ -240,6 +240,16 @@ class Scheduler {
     TimePoint due;
     std::uint64_t gen;
     VirtualThread* thread;
+
+    /// Heap order: earliest deadline first, equal deadlines by thread id,
+    /// so the timed-out waiters of one deadline leave their wait lists in
+    /// id order.
+    [[nodiscard]] static bool later(const TimerEntry& a, const TimerEntry& b) {
+      if (a.due != b.due) {
+        return b.due < a.due;
+      }
+      return b.thread->id() < a.thread->id();
+    }
   };
 
   void block_current();
@@ -273,6 +283,10 @@ class Scheduler {
       }
       return id < o.id;
     }
+    /// Heap order: std heaps keep the greatest element on top.
+    [[nodiscard]] static bool later(const ReadyEntry& a, const ReadyEntry& b) {
+      return b.before(a);
+    }
   };
 
   [[nodiscard]] static bool ready_before(const VirtualThread* a,
@@ -288,24 +302,6 @@ class Scheduler {
 
   void push_ready(VirtualThread* t);
   VirtualThread* pop_ready();
-  /// True when no thread is ready in either lane.
-  [[nodiscard]] bool ready_empty() const {
-    return ready_.empty() && fifo_head_ == fifo_tail_;
-  }
-  /// Smallest ready entry across both lanes. Precondition: !ready_empty().
-  [[nodiscard]] const ReadyEntry& ready_top() const {
-    if (fifo_head_ == fifo_tail_) {
-      return ready_.front();
-    }
-    if (ready_.empty()) {
-      return ready_fifo_[fifo_head_];
-    }
-    const ReadyEntry& f = ready_fifo_[fifo_head_];
-    return f.before(ready_.front()) ? f : ready_.front();
-  }
-  /// Double the FIFO ring, preserving entry order.
-  void grow_fifo();
-  void push_timer(TimerEntry e);
   void pop_timer();
   /// Smallest live (non-stale) timer entry, or nullptr; pops stale entries.
   [[nodiscard]] const TimerEntry* timer_top();
@@ -316,26 +312,9 @@ class Scheduler {
   void check_stress_bucket(const std::vector<VirtualThread*>& bucket) const;
   void check_timer_decision(bool fired, TimePoint due) const;
 
-  FiberStackPool stack_pool_;  // declared first: outlives the fibers
   std::vector<std::unique_ptr<VirtualThread>> threads_;
-  // Two-lane ready structure. Cooperative schedules push in nearly
-  // nondecreasing key order (a yielded thread re-enters at the clock the
-  // run loop just advanced to), so most pushes append to a sorted FIFO
-  // lane and pop from its head in O(1); a push whose key is smaller than
-  // the FIFO's tail — a thread re-entering "from the past" — goes to the
-  // binary-heap lane instead. The global minimum is the smaller of the
-  // two lane heads (each lane is min-ordered), so the policy is exactly
-  // the heap's (clock, resched_seq, id) order — the differential and
-  // policy-check suites hold bit-for-bit.
-  std::vector<ReadyEntry> ready_;  // heap lane: binary min-heap
-  // FIFO lane: a power-of-two ring so steady-state churn (pop one thread,
-  // re-push it) reuses the same few cache lines instead of streaming
-  // through an ever-growing vector. head == tail means empty; one slot
-  // stays free to distinguish full from empty.
-  std::vector<ReadyEntry> ready_fifo_ = std::vector<ReadyEntry>(256);
-  std::size_t fifo_head_ = 0;  // ring index of the smallest live entry
-  std::size_t fifo_tail_ = 0;  // ring index one past the largest entry
-  std::vector<TimerEntry> timer_heap_;     // binary min-heap by due time
+  std::vector<ReadyEntry> ready_;          // std heap by ReadyEntry::later
+  std::vector<TimerEntry> timer_heap_;     // std heap by TimerEntry::later
   std::vector<VirtualThread*> tie_bucket_; // scratch for stress-mode picks
   VirtualThread* running_ = nullptr;
   TimePoint horizon_;

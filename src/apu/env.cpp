@@ -209,41 +209,6 @@ WatchdogConfig parse_watchdog(const std::string& raw) {
   return out;
 }
 
-ServiceConfig parse_service(const std::string& raw) {
-  const std::string err_prefix = "OMPX_APU_SERVICE=" + raw + ": ";
-  const std::size_t colon = raw.find(':');
-  if (colon == std::string::npos) {
-    throw EnvError(err_prefix +
-                   "expected '<tenants>:<policy>' (the policy part is "
-                   "mandatory: off, admit, fair, or full)");
-  }
-  const std::string tenants = raw.substr(0, colon);
-  int value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(tenants.data(), tenants.data() + tenants.size(), value);
-  if (ec != std::errc{} || ptr != tenants.data() + tenants.size() ||
-      tenants.empty() || value <= 0) {
-    throw EnvError(err_prefix + "tenant count must be a positive integer");
-  }
-
-  ServiceConfig out;
-  out.tenants = value;
-  const std::string policy = lowered(raw.substr(colon + 1));
-  if (policy == "off") {
-    out.policy = ServicePolicy::Off;
-  } else if (policy == "admit") {
-    out.policy = ServicePolicy::Admit;
-  } else if (policy == "fair") {
-    out.policy = ServicePolicy::Fair;
-  } else if (policy == "full") {
-    out.policy = ServicePolicy::Full;
-  } else {
-    throw EnvError(err_prefix +
-                   "policy must be 'off', 'admit', 'fair', or 'full'");
-  }
-  return out;
-}
-
 RunEnvironment RunEnvironment::from_env(
     const std::map<std::string, std::string>& env) {
   return from_env(env, RunEnvironment{});
@@ -295,9 +260,6 @@ RunEnvironment RunEnvironment::from_env(
   if (auto it = env.find("OMPX_APU_AUTOMIGRATE"); it != env.end()) {
     out.ompx_apu_automigrate = automigrate_config(it->first, it->second);
   }
-  if (auto it = env.find("OMPX_APU_SERVICE"); it != env.end()) {
-    out.ompx_apu_service = parse_service(it->second);
-  }
   return out;
 }
 
@@ -347,12 +309,6 @@ std::string RunEnvironment::to_string() const {
   if (ompx_apu_automigrate.enabled) {
     s += " OMPX_APU_AUTOMIGRATE=";
     s += std::to_string(ompx_apu_automigrate.threshold);
-  }
-  if (ompx_apu_service.enabled()) {
-    s += " OMPX_APU_SERVICE=";
-    s += std::to_string(ompx_apu_service.tenants);
-    s += ':';
-    s += apu::to_string(ompx_apu_service.policy);
   }
   return s;
 }

@@ -1,6 +1,7 @@
 #include "zc/core/mapping.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 namespace zc::omp {
 
@@ -32,27 +33,17 @@ PresentEntry& PresentTable::insert(mem::AddrRange host,
   return it->second;
 }
 
-PresentEntry* PresentTable::lookup(mem::VirtAddr addr) {
-  if (mru_ != nullptr && mru_->host.contains(addr)) {
-    return mru_;
-  }
-  if (entries_.empty()) {
-    return nullptr;
-  }
+const PresentEntry* PresentTable::lookup(mem::VirtAddr addr) const {
   auto it = entries_.upper_bound(addr.value);
   if (it == entries_.begin()) {
     return nullptr;
   }
   --it;
-  if (!it->second.host.contains(addr)) {
-    return nullptr;
-  }
-  mru_ = &it->second;
-  return mru_;
+  return it->second.host.contains(addr) ? &it->second : nullptr;
 }
 
-const PresentEntry* PresentTable::lookup(mem::VirtAddr addr) const {
-  return const_cast<PresentTable*>(this)->lookup(addr);
+PresentEntry* PresentTable::lookup(mem::VirtAddr addr) {
+  return const_cast<PresentEntry*>(std::as_const(*this).lookup(addr));
 }
 
 PresentEntry* PresentTable::lookup_range(mem::AddrRange range) {
@@ -73,9 +64,6 @@ void PresentTable::erase(mem::VirtAddr host_base) {
   if (it == entries_.end()) {
     throw std::invalid_argument("PresentTable::erase: unknown base " +
                                 host_base.to_string());
-  }
-  if (mru_ == &it->second) {
-    mru_ = nullptr;
   }
   entries_.erase(it);
 }

@@ -112,17 +112,9 @@ void OffloadRuntime::ensure_image_loaded() {
 void OffloadRuntime::ensure_initialized() {
   ensure_image_loaded();
   const int tid = hsa_.machine().sched().current().id();
-  // A target region calls this three times (begin/launch/end) from the
-  // same thread, so one memoized id skips the set probe in steady state.
-  if (tid == last_init_tid_) {
+  if (!initialized_threads_.insert(tid).second) {
     return;
   }
-  if (initialized_threads_.contains(tid)) {
-    last_init_tid_ = tid;
-    return;
-  }
-  initialized_threads_.insert(tid);
-  last_init_tid_ = tid;
   // Per-thread runtime structures: HSA queues, signal pools, staging.
   // One-time init work is exempt from the steady-state overhead ledger.
   for (int i = 0; i < kThreadInitAllocs; ++i) {

@@ -113,6 +113,12 @@ void Detector::on_acquire(const void* obj, sim::SyncKind /*kind*/) {
   }
 }
 
+void Detector::on_retire(const void* obj) {
+  // A dead object's clock would order the acquirers of whatever object is
+  // born next at its address after its releasers.
+  sync_.erase(obj);
+}
+
 int Detector::on_task_begin(std::string_view what, int device) {
   const int slot = self_slot();
   if (slot < 0) {

@@ -481,8 +481,8 @@ DrrParams drr_params(const ServiceParams& p) {
 void validate(const ServiceParams& p, int sockets) {
   if (!p.config.enabled()) {
     throw std::invalid_argument(
-        "run_service: service disabled (tenant count is 0; set "
-        "OMPX_APU_SERVICE=<tenants>:<policy>)");
+        "run_service: service disabled (config.tenants is 0; set it to "
+        "the tenant count)");
   }
   if (p.arrival.tenants != p.config.tenants) {
     throw std::invalid_argument(

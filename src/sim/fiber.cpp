@@ -63,31 +63,9 @@ Fiber* g_starting = nullptr;
 
 Fiber* Fiber::current() { return g_current; }
 
-std::unique_ptr<char[]> FiberStackPool::acquire(std::size_t bytes) {
-  if (bytes == block_bytes_ && !free_.empty()) {
-    std::unique_ptr<char[]> stack = std::move(free_.back());
-    free_.pop_back();
-    return stack;
-  }
-  return std::unique_ptr<char[]>{new char[bytes]};
-}
-
-void FiberStackPool::release(std::unique_ptr<char[]> stack,
-                             std::size_t bytes) {
-  if (free_.empty()) {
-    block_bytes_ = bytes;  // first release fixes the pool's block size
-  } else if (bytes != block_bytes_) {
-    return;  // odd-sized stack: let unique_ptr free it
-  }
-  free_.push_back(std::move(stack));
-}
-
-Fiber::Fiber(std::function<void()> body, std::size_t stack_bytes,
-             FiberStackPool* pool)
+Fiber::Fiber(std::function<void()> body, std::size_t stack_bytes)
     : body_{std::move(body)},
-      stack_{pool != nullptr ? pool->acquire(stack_bytes)
-                             : std::unique_ptr<char[]>{new char[stack_bytes]}},
-      pool_{pool},
+      stack_{std::make_unique_for_overwrite<char[]>(stack_bytes)},
       stack_bytes_{stack_bytes} {
   if (!body_) {
     throw std::invalid_argument("Fiber: empty body");
@@ -117,12 +95,7 @@ Fiber::~Fiber() {
 }
 
 void Fiber::recycle_stack() {
-  if (!finished_ || stack_ == nullptr) {
-    return;
-  }
-  if (pool_ != nullptr) {
-    pool_->release(std::move(stack_), stack_bytes_);
-  } else {
+  if (finished_) {
     stack_.reset();
   }
 }

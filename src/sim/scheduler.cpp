@@ -6,7 +6,9 @@
 namespace zc::sim {
 
 Scheduler::Scheduler() = default;
-Scheduler::~Scheduler() = default;
+// Fiber bodies die first, while every other member is still alive: a body
+// may hold an `hsa::Signal`, whose state reports its death to `hooks()`.
+Scheduler::~Scheduler() { threads_.clear(); }
 
 VirtualThread& Scheduler::spawn(std::string name, std::function<void()> body) {
   const int id = static_cast<int>(threads_.size());
@@ -29,8 +31,7 @@ VirtualThread& Scheduler::spawn(std::string name, std::function<void()> body) {
         }
         raw->state_ = VirtualThread::State::Finished;
         horizon_ = max(horizon_, raw->clock_);
-      },
-      Fiber::kDefaultStackBytes, &stack_pool_);
+      });
   threads_.push_back(std::move(vt));
   push_ready(raw);
   if (hooks_ != nullptr) {
@@ -39,126 +40,31 @@ VirtualThread& Scheduler::spawn(std::string name, std::function<void()> body) {
   return *raw;
 }
 
-// --- ready heap ----------------------------------------------------------
+// --- ready and timer heaps ----------------------------------------------
 //
-// Plain binary min-heap of ReadyEntry (key snapshot + thread pointer)
-// ordered by (clock, resched_seq, id). The heap only ever sees push and
-// pop-min: a thread enters when it becomes runnable (spawn, wake, or yield
-// re-insertion) and leaves only by being scheduled. Blocking and finishing
-// happen to the *running* thread, which is never in the heap, so arbitrary
-// removal — the operation that would force an indexed heap — never occurs.
-// Keys are snapshotted at push (exact, since they are immutable while the
-// thread is in the heap), so every sift compare reads contiguous entries
-// instead of dereferencing two VirtualThread pointers.
-
-void Scheduler::grow_fifo() {
-  const std::size_t cap = ready_fifo_.size();
-  const std::size_t mask = cap - 1;
-  std::vector<ReadyEntry> bigger(cap * 2);
-  std::size_t n = 0;
-  for (std::size_t i = fifo_head_; i != fifo_tail_; i = (i + 1) & mask) {
-    bigger[n++] = ready_fifo_[i];
-  }
-  ready_fifo_ = std::move(bigger);
-  fifo_head_ = 0;
-  fifo_tail_ = n;
-}
+// Both are std heaps over total orders, so a pop never depends on push
+// order. (A thread's stale timer entry may tie with its live one; either
+// may surface first, since the stale one is dropped either way.) The
+// ready heap only ever sees push and pop-min: a thread enters when it
+// becomes runnable (spawn, wake, or yield re-insertion) and leaves only by
+// being scheduled. Blocking and finishing happen to the *running* thread,
+// which is never in the heap, so arbitrary removal never occurs.
 
 void Scheduler::push_ready(VirtualThread* t) {
-  const ReadyEntry e{t->clock_, t->resched_seq_, t->id_, t};
-  const std::size_t mask = ready_fifo_.size() - 1;
-  // Fast lane: keys pushed in nondecreasing order append to the ring.
-  if (fifo_head_ == fifo_tail_ ||
-      !e.before(ready_fifo_[(fifo_tail_ - 1) & mask])) {
-    if (((fifo_tail_ + 1) & mask) == fifo_head_) {
-      grow_fifo();
-      ready_fifo_[fifo_tail_] = e;
-      ++fifo_tail_;
-      return;
-    }
-    ready_fifo_[fifo_tail_] = e;
-    fifo_tail_ = (fifo_tail_ + 1) & mask;
-    return;
-  }
-  ready_.push_back(e);
-  std::size_t i = ready_.size() - 1;
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (!ready_[i].before(ready_[parent])) {
-      break;
-    }
-    std::swap(ready_[i], ready_[parent]);
-    i = parent;
-  }
+  ready_.push_back({t->clock_, t->resched_seq_, t->id_, t});
+  std::push_heap(ready_.begin(), ready_.end(), ReadyEntry::later);
 }
 
 VirtualThread* Scheduler::pop_ready() {
-  if (fifo_head_ != fifo_tail_ &&
-      (ready_.empty() || ready_fifo_[fifo_head_].before(ready_.front()))) {
-    VirtualThread* const t = ready_fifo_[fifo_head_].thread;
-    fifo_head_ = (fifo_head_ + 1) & (ready_fifo_.size() - 1);
-    return t;
-  }
-  VirtualThread* const top = ready_.front().thread;
-  ready_.front() = ready_.back();
+  std::pop_heap(ready_.begin(), ready_.end(), ReadyEntry::later);
+  VirtualThread* const top = ready_.back().thread;
   ready_.pop_back();
-  const std::size_t n = ready_.size();
-  std::size_t i = 0;
-  while (true) {
-    const std::size_t l = 2 * i + 1;
-    if (l >= n) {
-      break;
-    }
-    const std::size_t r = l + 1;
-    std::size_t best = l;
-    if (r < n && ready_[r].before(ready_[l])) {
-      best = r;
-    }
-    if (!ready_[best].before(ready_[i])) {
-      break;
-    }
-    std::swap(ready_[i], ready_[best]);
-    i = best;
-  }
   return top;
 }
 
-// --- timer heap ----------------------------------------------------------
-
-void Scheduler::push_timer(TimerEntry e) {
-  timer_heap_.push_back(e);
-  std::size_t i = timer_heap_.size() - 1;
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (timer_heap_[parent].due <= timer_heap_[i].due) {
-      break;
-    }
-    std::swap(timer_heap_[i], timer_heap_[parent]);
-    i = parent;
-  }
-}
-
 void Scheduler::pop_timer() {
-  timer_heap_.front() = timer_heap_.back();
+  std::pop_heap(timer_heap_.begin(), timer_heap_.end(), TimerEntry::later);
   timer_heap_.pop_back();
-  const std::size_t n = timer_heap_.size();
-  std::size_t i = 0;
-  while (true) {
-    const std::size_t l = 2 * i + 1;
-    if (l >= n) {
-      break;
-    }
-    const std::size_t r = l + 1;
-    std::size_t best = l;
-    if (r < n && timer_heap_[r].due < timer_heap_[l].due) {
-      best = r;
-    }
-    if (timer_heap_[i].due <= timer_heap_[best].due) {
-      break;
-    }
-    std::swap(timer_heap_[i], timer_heap_[best]);
-    i = best;
-  }
 }
 
 const Scheduler::TimerEntry* Scheduler::timer_top() {
@@ -247,7 +153,7 @@ void Scheduler::check_timer_decision(bool fired, TimePoint due) const {
 // --- scheduling core -----------------------------------------------------
 
 VirtualThread* Scheduler::pick_next() {
-  if (ready_empty()) {
+  if (ready_.empty()) {
     return nullptr;
   }
   if (stress_) {
@@ -256,9 +162,9 @@ VirtualThread* Scheduler::pick_next() {
     // Pop the whole equal-clock bucket and restore spawn order (the pops
     // surface in (seq, id) order) so the uniform draw lands on the same
     // thread the pre-refactor spawn-order scan would have offered.
-    const TimePoint min_clock = ready_top().clock;
+    const TimePoint min_clock = ready_.front().clock;
     tie_bucket_.clear();
-    while (!ready_empty() && ready_top().clock == min_clock) {
+    while (!ready_.empty() && ready_.front().clock == min_clock) {
       tie_bucket_.push_back(pop_ready());
     }
     std::sort(tie_bucket_.begin(), tie_bucket_.end(),
@@ -278,7 +184,7 @@ VirtualThread* Scheduler::pick_next() {
     return chosen;
   }
   if (policy_check_) {
-    check_pick(ready_top().thread);
+    check_pick(ready_.front().thread);
   }
   return pop_ready();
 }
@@ -309,7 +215,7 @@ bool Scheduler::fire_due_timers() {
   // heap orders them by spawn id exactly as the linear scan did).
   const TimerEntry* const top = timer_top();
   if (top == nullptr ||
-      (!ready_empty() && ready_top().clock < top->due)) {
+      (!ready_.empty() && ready_.front().clock < top->due)) {
     if (policy_check_) {
       check_timer_decision(false, TimePoint{});
     }
@@ -387,7 +293,7 @@ void Scheduler::run() {
     }
     running_ = nullptr;
     if (next->fiber_->finished()) {
-      next->fiber_->recycle_stack();  // dead stack back to the pool
+      next->fiber_->recycle_stack();  // its stack is dead: free it now
     } else if (next->state_ == VirtualThread::State::Runnable) {
       push_ready(next);  // yielded (advance/reschedule), still runnable
     }
@@ -430,10 +336,10 @@ void Scheduler::maybe_yield() {
     Fiber::yield();
     return;
   }
-  if (ready_empty()) {
+  if (ready_.empty()) {
     return;
   }
-  const ReadyEntry& top = ready_top();
+  const ReadyEntry& top = ready_.front();
   if (top.clock < self.clock_) {
     Fiber::yield();
     return;
@@ -459,7 +365,8 @@ void Scheduler::block_current() {
   VirtualThread& self = current();
   self.state_ = VirtualThread::State::Blocked;
   if (self.wake_at_) {
-    push_timer({*self.wake_at_, ++self.timer_gen_, &self});
+    timer_heap_.push_back({*self.wake_at_, ++self.timer_gen_, &self});
+    std::push_heap(timer_heap_.begin(), timer_heap_.end(), TimerEntry::later);
   }
   Fiber::yield();
 }

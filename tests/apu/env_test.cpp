@@ -459,40 +459,5 @@ TEST(RunEnvironment, ErrorMessageNamesTheOffendingVariable) {
   }
 }
 
-TEST(RunEnvironment, ServiceGrammarParsesTenantsAndPolicy) {
-  const ServiceConfig c = parse_service("4:full");
-  EXPECT_EQ(c.tenants, 4);
-  EXPECT_EQ(c.policy, ServicePolicy::Full);
-  EXPECT_TRUE(c.enabled());
-  EXPECT_EQ(parse_service("2:OFF").policy, ServicePolicy::Off);
-  EXPECT_EQ(parse_service("8:Admit").policy, ServicePolicy::Admit);
-  EXPECT_EQ(parse_service("3:fair").policy, ServicePolicy::Fair);
-  const RunEnvironment env =
-      RunEnvironment::from_env({{"OMPX_APU_SERVICE", "4:full"}});
-  EXPECT_EQ(env.ompx_apu_service.tenants, 4);
-  EXPECT_NE(env.to_string().find("OMPX_APU_SERVICE=4:full"),
-            std::string::npos);
-  // Unset keeps the service disabled and out of the rendering.
-  RunEnvironment off;
-  EXPECT_FALSE(off.ompx_apu_service.enabled());
-  EXPECT_EQ(off.to_string().find("OMPX_APU_SERVICE"), std::string::npos);
-}
-
-TEST(RunEnvironment, ServiceGrammarRejectsMalformedValues) {
-  // Zero / negative / non-numeric tenants, bogus policy, missing policy.
-  for (const char* bad : {"0:full", "-1:full", "x:full", ":full", "4:bogus",
-                          "4", "4:", ""}) {
-    EXPECT_THROW((void)parse_service(bad), EnvError) << bad;
-  }
-  try {
-    (void)parse_service("4:bogus");
-    FAIL() << "expected EnvError";
-  } catch (const EnvError& e) {
-    EXPECT_NE(std::string{e.what()}.find("OMPX_APU_SERVICE"),
-              std::string::npos);
-    EXPECT_NE(std::string{e.what()}.find("bogus"), std::string::npos);
-  }
-}
-
 }  // namespace
 }  // namespace zc::apu

@@ -113,6 +113,38 @@ TEST(Detector, UnorderedReadVsWriteRaces) {
   EXPECT_NE(r.first.is_write, r.second.is_write);
 }
 
+TEST(Detector, ARetiredObjectLeavesNoClockBehind) {
+  // Release into `obj`, then acquire it from another thread. While `obj`
+  // lives, that orders the two writes; once it is retired, an acquire of
+  // the same address (a new object born there) orders nothing.
+  for (const bool retire : {false, true}) {
+    SCOPED_TRACE(retire ? "retired" : "live");
+    Scheduler s;
+    Detector d{Detector::Mode::Report, kPage};
+    d.attach(s);
+    const int obj = 0;
+    s.spawn("releaser", [&] {
+      stamp_page(s, 0, true, "before-release");
+      s.hooks()->on_release(&obj, sim::SyncKind::Signal);
+      if (retire) {
+        s.hooks()->on_retire(&obj);
+      }
+    });
+    s.spawn("acquirer", [&] {
+      s.advance(Duration::microseconds(1));
+      s.hooks()->on_acquire(&obj, sim::SyncKind::Signal);
+      stamp_page(s, 0, true, "after-acquire");
+    });
+    s.run();
+    ASSERT_EQ(d.trace().size(), retire ? 1u : 0u);
+    if (retire) {
+      const trace::RaceReport& r = d.trace().records().front();
+      EXPECT_EQ(r.first.site, "after-acquire");  // endpoints sort by actor
+      EXPECT_EQ(r.second.site, "before-release");
+    }
+  }
+}
+
 TEST(Detector, LatchReleaseAcquireOrdersProducerConsumer) {
   Scheduler s;
   Detector d{Detector::Mode::Report, kPage};

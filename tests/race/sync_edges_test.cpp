@@ -134,12 +134,15 @@ TEST(SyncEdges, EachPrimitiveSynchronizationIsOneEdge) {
       },
       SyncKind::Barrier, 2, 2);
 
-  // A signal completed after its waiter blocked on it.
-  hsa::Signal signal;
+  // A signal completed after its waiter blocked on it. Each thread holds
+  // a handle, so the signal's state dies with the scheduler it reports to.
   expect_one_kind(
-      [&](sim::Scheduler& s) {
-        s.spawn("waiter", [&] { EXPECT_EQ(signal.wait(s), 5_us); });
-        s.spawn("completer", [&] {
+      [](sim::Scheduler& s) {
+        hsa::Signal signal;
+        s.spawn("waiter", [&s, signal]() mutable {
+          EXPECT_EQ(signal.wait(s), 5_us);
+        });
+        s.spawn("completer", [&s, signal]() mutable {
           s.advance(5_us);
           signal.complete(s, s.now());
         });

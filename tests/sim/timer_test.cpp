@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "zc/sim/scheduler.hpp"
@@ -298,6 +299,51 @@ TEST(Timer, WaitForResultsAreDeterministicUnderStress) {
     ASSERT_EQ(r.size(), 2u) << seed;
     EXPECT_FALSE(r[0]) << seed;  // 5us deadline < 20us post: timeout
     EXPECT_TRUE(r[1]) << seed;   // 50us deadline > 20us post: signaled
+  }
+}
+
+TEST(Timer, SharedDeadlineTimesOutInIdOrderUnderStress) {
+  // Timed waiters whose deadlines coincide time out in thread-id order,
+  // whatever order they armed their timers in. Each timeout swaps the last
+  // waiter into the leaver's slot, so that order decides how the wait list
+  // reads afterwards, and a stressed handoff draws its winner by position
+  // in the list. Here `b` arms first, then `a`; both give up at 10us,
+  // `a` leaving first, so the list reads d, e, c when the holder unlocks.
+  auto owners = [](std::uint64_t seed) {
+    Scheduler s;
+    s.enable_stress(seed);
+    s.enable_policy_check();
+    Mutex m{"shared-deadline"};
+    std::vector<std::string> got;
+    s.spawn("holder", [&] {
+      m.lock(s);
+      s.advance(20_us);
+      m.unlock(s);
+    });
+    const auto contender = [&](Duration arrive, Duration timeout) {
+      return [&s, &m, &got, arrive, timeout] {
+        s.advance(arrive);
+        if (m.try_lock_for(s, timeout)) {
+          got.push_back(s.current().name());
+          m.unlock(s);
+        }
+      };
+    };
+    s.spawn("a", contender(2_us, 8_us));
+    s.spawn("b", contender(1_us, 9_us));
+    s.spawn("c", contender(3_us, 100_us));
+    s.spawn("d", contender(4_us, 100_us));
+    s.spawn("e", contender(5_us, 100_us));
+    s.run();
+    return got;
+  };
+  const std::vector<std::pair<std::uint64_t, std::string>> pinned = {
+      {1, "c"}, {2, "c"}, {3, "e"}, {4, "c"}, {5, "e"}, {6, "e"},
+      {7, "c"}, {42, "d"}};
+  for (const auto& [seed, first] : pinned) {
+    const std::vector<std::string> got = owners(seed);
+    ASSERT_EQ(got.size(), 3u) << seed;  // a and b timed out
+    EXPECT_EQ(got.front(), first) << "seed " << seed;
   }
 }
 
