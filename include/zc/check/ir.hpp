@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "zc/core/mapping.hpp"
@@ -171,9 +170,11 @@ class Recorder {
                   const std::string& name, BufKind kind);
   void add_global(mem::AddrRange range, const std::string& name);
 
-  /// Append one op to the calling thread's stream (no-op while the calling
-  /// thread is inside a composite construct, see `push_suppress`).
-  void record(sim::Scheduler& sched, IrOp op);
+  /// Append an op of `kind` to the calling thread's stream and return it
+  /// for the caller to fill in; it stays valid until that thread records
+  /// again. Returns nullptr, and builds nothing, while the calling thread
+  /// is inside a composite construct (see `push_suppress`).
+  [[nodiscard]] IrOp* record(sim::Scheduler& sched, OpKind kind);
 
   /// Composite constructs (`target`, `target enter/exit data`,
   /// `target_wait`) are recorded as one op and internally reuse the public
@@ -214,8 +215,12 @@ class Recorder {
   /// `build`'s body: moves the ops and buffers into the IR.
   [[nodiscard]] OffloadIR seal();
 
+  static constexpr std::uint32_t kNoStream = UINT32_MAX;
+
   std::uint64_t page_bytes_;
-  std::unordered_map<int, std::size_t> by_thread_;  ///< thread id -> index
+  /// Index into `streams_` by thread id + 1; slot 0 is "<main>", the
+  /// stream of ops issued outside any virtual thread.
+  std::vector<std::uint32_t> by_thread_;
   std::vector<RawStream> streams_;
   std::vector<IrBuffer> buffers_;
   std::weak_ptr<const void> source_;

@@ -52,13 +52,15 @@ struct CheckFinding {
 
   [[nodiscard]] std::string to_string() const;
 
-  /// Canonical report order: (kind, thread, op_index, buffer, message).
+  /// Canonical report order: (kind, thread, op_index, buffer, message,
+  /// device). The device decides only between two threads of one name.
   [[nodiscard]] bool operator<(const CheckFinding& o) const {
     if (kind != o.kind) return kind < o.kind;
     if (thread != o.thread) return thread < o.thread;
     if (op_index != o.op_index) return op_index < o.op_index;
     if (buffer != o.buffer) return buffer < o.buffer;
-    return message < o.message;
+    if (message != o.message) return message < o.message;
+    return device < o.device;
   }
   [[nodiscard]] bool operator==(const CheckFinding& o) const {
     return kind == o.kind && thread == o.thread && op_index == o.op_index &&

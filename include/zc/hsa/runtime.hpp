@@ -332,6 +332,10 @@ class Runtime {
   bool keep_records_ = false;
   std::vector<trace::KernelRecord> kernel_records_;
   std::vector<trace::CopyRecord> copy_records_;
+  /// Where the race hooks' task names and access sites are rendered. The
+  /// detector reads a site only for a stamp it checks, so one reused
+  /// buffer keeps every pruned stamp free of allocation.
+  std::string race_site_;
 };
 
 }  // namespace zc::hsa

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "zc/apu/machine.hpp"
@@ -270,6 +271,9 @@ class MemorySystem {
   std::map<std::uint64_t, Heat> heat_;
   std::uint64_t heat_epoch_ = 0;
   bool sample_counters_ = false;  ///< automigrate or pressure enabled
+  /// Where `host_touch` renders its race-hook site, reused so that a
+  /// pruned stamp allocates nothing (the detector reads only checked ones).
+  std::string race_site_;
 };
 
 }  // namespace zc::mem

@@ -110,9 +110,16 @@ class Detector final : public sim::ConcurrencyHooks {
   /// One clocked actor: a virtual thread or a logical device task.
   struct Actor {
     VectorClock clock;
+    /// A thread's name, or the `what` a task began with. A task is named
+    /// "what@devN" in reports; `actor_name` renders that only when an
+    /// access is retained, and a reused slot overwrites `name` in place.
     std::string name;
-    bool is_task = false;
+    int device = -1;    ///< a task's device; -1 for a thread
     bool done = false;  ///< finished thread / ended task: acts no further
+    /// An ended task whose slot may still appear in some clock; compaction
+    /// drops the slot from every clock once no shadow epoch names it.
+    bool retired = false;
+    int last_task = -1;  ///< a thread's most recent task slot, -1 if none
     /// Cached immutable snapshot of `clock`, shared by every access
     /// recorded between two clock mutations.
     std::shared_ptr<const VectorClock> snap;
@@ -138,6 +145,10 @@ class Detector final : public sim::ConcurrencyHooks {
   [[nodiscard]] int slot_for_thread(int thread_id);
   [[nodiscard]] Actor& mutate(int slot);  ///< actor with snapshot invalidated
   [[nodiscard]] std::shared_ptr<const VectorClock> snapshot(int slot);
+  [[nodiscard]] static std::string actor_name(const Actor& a);
+  /// The clock released into `obj`, created empty on first use from a node
+  /// a retired object left behind when there is one.
+  [[nodiscard]] VectorClock& sync_clock(const void* obj);
 
   /// Check one access to `page` against its `shadow` and update it;
   /// reports on conflict.
@@ -161,20 +172,24 @@ class Detector final : public sim::ConcurrencyHooks {
   std::function<void(const trace::RaceReport&)> abort_handler_;
   trace::RaceTrace trace_;
 
-  std::vector<Actor> actors_;                   ///< indexed by slot
-  std::unordered_map<int, int> thread_slot_;    ///< VirtualThread id -> slot
-  /// Thread slot -> its most recent task slot, for sequential slot reuse:
+  /// Indexed by slot. A thread's `last_task` drives sequential slot reuse:
   /// when a dispatcher already covers its previous task's epoch (it waited
   /// on the kernel), the next task takes the same slot at value+1. Covering
   /// the new epoch then soundly implies covering every older one on the
   /// slot (each is ordered before its successor), so a dispatch-wait loop
   /// uses one slot forever instead of one per kernel. Unordered in-flight
   /// tasks never reuse — they keep fresh slots and full race sensitivity.
-  std::unordered_map<int, int> thread_task_slot_;
+  std::vector<Actor> actors_;
+  std::vector<int> thread_slot_;  ///< VirtualThread id -> slot (-1: none)
   /// Joined clocks of finished threads: a thread spawned outside any
   /// virtual thread (a later `run()` round) is ordered after them.
   VectorClock drain_;
   std::unordered_map<const void*, VectorClock> sync_;  ///< per sync object L
+  /// Nodes of retired sync objects, reused by `sync_clock`: every kernel's
+  /// completion signal is a new object, so this keeps the per-kernel
+  /// release from allocating a node and a clock.
+  std::vector<std::unordered_map<const void*, VectorClock>::node_type>
+      spare_sync_;
   std::unordered_map<std::uint64_t, Shadow> pages_;
 
   /// --- retired-task slot GC -----------------------------------------------
@@ -183,8 +198,8 @@ class Detector final : public sim::ConcurrencyHooks {
   /// component — unpruned, clocks grow O(total kernels) and every join turns
   /// quadratic. A retired slot whose epochs no longer appear in any shadow
   /// can never influence a covers() check again, so it is dropped from every
-  /// clock (periodically, amortized over task ends).
-  std::set<int> retired_;  ///< ended task slots not yet pruned everywhere
+  /// clock (periodically, amortized over task ends). `Actor::retired` marks
+  /// the candidates.
   int ends_since_compact_ = 0;
   static constexpr int kCompactEvery = 128;
   void compact();

@@ -53,10 +53,24 @@ class PruneFilter {
   /// Whether every page of [first, end) is proven safe. The detector calls
   /// this once per access before falling back to the per-page walk: a
   /// proven-safe buffer's whole page span lies inside one run here, so a
-  /// multi-thousand-page access prunes in a single lookup.
+  /// multi-thousand-page access prunes in a single lookup. That lookup is
+  /// `RunSet::covers` without a branch per search step: it runs for every
+  /// kernel buffer, and the runs (one per safe buffer) number thousands.
   [[nodiscard]] bool covers_range(std::uint64_t first,
                                   std::uint64_t end) const {
-    return pages_.covers(first, end);
+    const std::vector<mem::RunSet::Run>& runs = pages_.runs();
+    if (first >= end) {
+      return true;
+    }
+    if (runs.empty() || first < runs.front().lo) {
+      return false;
+    }
+    // The last run starting at or before `first` is the only candidate.
+    const mem::RunSet::Run* run = runs.data();
+    for (std::size_t n = runs.size(); n > 1; n -= n / 2) {
+      run = run[n / 2].lo <= first ? run + n / 2 : run;
+    }
+    return end <= run->hi;
   }
 
   /// Whether `page` is proven safe (skip its shadow-state stamp).

@@ -58,6 +58,10 @@ class VectorClock {
     if (other.clock_.empty()) {
       return;
     }
+    if (clock_.empty()) {
+      clock_ = other.clock_;  // reuses this clock's storage
+      return;
+    }
     // Fast path: every slot of `other` already exists here — max in place.
     std::size_t i = 0;
     bool subset = true;
@@ -114,6 +118,8 @@ class VectorClock {
   }
 
   [[nodiscard]] bool empty() const { return clock_.empty(); }
+  /// Forget every component, keeping the storage for the next joins.
+  void clear() { clock_.clear(); }
   [[nodiscard]] std::size_t size() const { return clock_.size(); }
 
   /// Render as "{0:3, 2:7}" for race reports.

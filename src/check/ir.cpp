@@ -1,7 +1,9 @@
 #include "zc/check/ir.hpp"
 
 #include <algorithm>
-#include <map>
+#include <string_view>
+#include <unordered_map>
+#include <utility>
 
 #include "zc/sim/scheduler.hpp"
 
@@ -54,13 +56,18 @@ Recorder::RawStream& Recorder::stream_for(sim::Scheduler& sched) {
   // Ops issued outside any virtual thread (stack construction, teardown)
   // land in a synthetic "<main>" stream so nothing is ever dropped.
   const bool in = sched.in_thread();
-  const int id = in ? sched.current().id() : -1;
-  auto [it, inserted] = by_thread_.emplace(id, streams_.size());
-  if (inserted) {
+  const std::size_t slot =
+      in ? static_cast<std::size_t>(sched.current().id()) + 1 : 0;
+  if (slot >= by_thread_.size()) {
+    by_thread_.resize(slot + 1, kNoStream);
+  }
+  std::uint32_t& index = by_thread_[slot];
+  if (index == kNoStream) {
+    index = static_cast<std::uint32_t>(streams_.size());
     streams_.push_back(RawStream{in ? sched.current().name() : "<main>",
                                  {}, 0, 0});
   }
-  return streams_[it->second];
+  return streams_[index];
 }
 
 void Recorder::add_buffer(sim::Scheduler& sched, mem::AddrRange range,
@@ -82,13 +89,15 @@ void Recorder::add_global(mem::AddrRange range, const std::string& name) {
   buffers_.push_back(std::move(buf));
 }
 
-void Recorder::record(sim::Scheduler& sched, IrOp op) {
+IrOp* Recorder::record(sim::Scheduler& sched, OpKind kind) {
   RawStream& s = stream_for(sched);
   if (s.suppress > 0) {
-    return;
+    return nullptr;
   }
-  op.ordinal = s.ops.size();
-  s.ops.push_back(std::move(op));
+  IrOp& op = s.ops.emplace_back();
+  op.kind = kind;
+  op.ordinal = s.ops.size() - 1;
+  return &op;
 }
 
 void Recorder::push_suppress(sim::Scheduler& sched) {
@@ -131,19 +140,29 @@ OffloadIR Recorder::seal() {
 
   // Assign per-(thread, name) occurrence indices in allocation order —
   // per-thread program order, so invariant across stress seeds — then a
-  // label that is the bare name when unique run-wide.
-  std::map<std::pair<std::string, std::string>, std::uint64_t> occurrence;
-  std::map<std::string, std::uint64_t> by_name;
+  // label that is the bare name when unique run-wide. The keys view the
+  // buffers' own strings, which stay put until the sort below.
+  using Key = std::pair<std::string_view, std::string_view>;
+  struct KeyHash {
+    std::size_t operator()(const Key& k) const {
+      const std::hash<std::string_view> h;
+      return h(k.first) * 31 + h(k.second);
+    }
+  };
+  std::unordered_map<Key, std::uint64_t, KeyHash> occurrence;
+  std::unordered_map<std::string_view, std::uint64_t> by_name;
   for (IrBuffer& b : ir.buffers) {
     b.nth = occurrence[{b.thread, b.name}]++;
     ++by_name[b.name];
   }
   for (IrBuffer& b : ir.buffers) {
-    if (by_name[b.name] == 1) {
-      b.label = b.name;
-    } else {
-      b.label = b.name + "@" + (b.thread.empty() ? "<image>" : b.thread) +
-                "#" + std::to_string(b.nth);
+    b.label = b.name;
+    if (by_name[b.name] > 1) {
+      b.label += '@';
+      b.label += b.thread.empty() ? std::string_view{"<image>"}
+                                  : std::string_view{b.thread};
+      b.label += '#';
+      b.label += std::to_string(b.nth);
     }
   }
   std::sort(ir.buffers.begin(), ir.buffers.end(),

@@ -16,32 +16,35 @@ using sim::Duration;
 
 namespace {
 
-/// Shape-only projection of a construct's map list for the offload IR.
-check::IrOp make_map_op(check::OpKind kind, std::span<const MapEntry> maps,
-                        int device) {
-  check::IrOp op;
-  op.kind = kind;
-  op.device = device;
-  op.maps.reserve(maps.size());
-  for (const MapEntry& e : maps) {
-    op.maps.push_back(check::IrMap{e.host_range(), e.type, e.always});
+/// The op `rec` records for the calling thread's construct, for the caller
+/// to fill in, or nullptr when nothing is recorded: no recorder, or a
+/// construct nested in a composite one, which is recorded as one op.
+check::IrOp* record(check::Recorder* rec, sim::Scheduler& sched,
+                    check::OpKind kind, int device = 0) {
+  check::IrOp* op = rec != nullptr ? rec->record(sched, kind) : nullptr;
+  if (op != nullptr) {
+    op->device = device;
   }
   return op;
 }
 
+/// Shape-only projection of a construct's map list for the offload IR.
+void add_maps(check::IrOp& op, std::span<const MapEntry> maps) {
+  op.maps.reserve(maps.size());
+  for (const MapEntry& e : maps) {
+    op.maps.push_back(check::IrMap{e.host_range(), e.type, e.always});
+  }
+}
+
 /// Projection of a target region (maps + enclosing-environment uses).
-check::IrOp make_region_op(const TargetRegion& region, int device,
-                           bool nowait, std::uint64_t token) {
-  check::IrOp op = make_map_op(check::OpKind::Kernel, region.maps, device);
-  op.nowait = nowait;
-  op.token = token;
+void add_region(check::IrOp& op, const TargetRegion& region) {
+  add_maps(op, region.maps);
   op.name = region.name;
   op.uses.reserve(region.uses.size());
   for (const BufferUse& u : region.uses) {
     op.uses.push_back(
         check::IrUse{mem::AddrRange{u.addr, u.bytes}, u.access});
   }
-  return op;
 }
 
 }  // namespace
@@ -241,11 +244,11 @@ void OffloadRuntime::host_free(mem::VirtAddr base) {
   // rejected free — including one `os_free` below would reject — leaves
   // the Adaptive Maps cache exactly as it was.
   const mem::Allocation* const a = hsa_.memory().space().find(base);
-  if (recorder_ != nullptr && a != nullptr) {
-    check::IrOp op;
-    op.kind = check::OpKind::HostFree;
-    op.range = a->range();
-    recorder_->record(hsa_.machine().sched(), std::move(op));
+  if (a != nullptr) {
+    if (check::IrOp* op = record(recorder_, hsa_.machine().sched(),
+                                 check::OpKind::HostFree)) {
+      op->range = a->range();
+    }
   }
   {
     sim::LockGuard lock{table_mutex_, hsa_.machine().sched()};
@@ -272,11 +275,9 @@ void OffloadRuntime::host_free(mem::VirtAddr base) {
 
 void OffloadRuntime::host_first_touch(mem::AddrRange range) {
   apu::Machine& m = hsa_.machine();
-  if (recorder_ != nullptr) {
-    check::IrOp op;
-    op.kind = check::OpKind::HostTouch;
-    op.range = range;
-    recorder_->record(m.sched(), std::move(op));
+  if (check::IrOp* op =
+          record(recorder_, m.sched(), check::OpKind::HostTouch)) {
+    op->range = range;
   }
   const std::uint64_t new_pages = hsa_.memory().host_touch(range);
   if (new_pages == 0) {
@@ -302,11 +303,9 @@ void OffloadRuntime::host_read(mem::AddrRange range) {
                      range.end_page(pb) - range.first_page(pb),
                      /*is_write=*/false, site);
   }
-  if (recorder_ != nullptr) {
-    check::IrOp op;
-    op.kind = check::OpKind::HostRead;
-    op.range = range;
-    recorder_->record(m.sched(), std::move(op));
+  if (check::IrOp* op =
+          record(recorder_, m.sched(), check::OpKind::HostRead)) {
+    op->range = range;
   }
 }
 
@@ -925,9 +924,9 @@ void OffloadRuntime::check_distinct(std::span<const MapEntry> maps) {
 
 void OffloadRuntime::target_data_begin(std::span<const MapEntry> maps,
                                        int device) {
-  if (recorder_ != nullptr) {
-    recorder_->record(hsa_.machine().sched(),
-                      make_map_op(check::OpKind::DataBegin, maps, device));
+  if (check::IrOp* op = record(recorder_, hsa_.machine().sched(),
+                               check::OpKind::DataBegin, device)) {
+    add_maps(*op, maps);
   }
   ensure_initialized();
   check_device(device);
@@ -957,9 +956,9 @@ void OffloadRuntime::target_data_begin(std::span<const MapEntry> maps,
 
 void OffloadRuntime::target_data_end(std::span<const MapEntry> maps,
                                      int device) {
-  if (recorder_ != nullptr) {
-    recorder_->record(hsa_.machine().sched(),
-                      make_map_op(check::OpKind::DataEnd, maps, device));
+  if (check::IrOp* op = record(recorder_, hsa_.machine().sched(),
+                               check::OpKind::DataEnd, device)) {
+    add_maps(*op, maps);
   }
   ensure_initialized();
   check_device(device);
@@ -976,9 +975,9 @@ void OffloadRuntime::target_data_end(std::span<const MapEntry> maps,
 
 void OffloadRuntime::target_enter_data(std::span<const MapEntry> maps,
                                        int device) {
-  if (recorder_ != nullptr) {
-    recorder_->record(hsa_.machine().sched(),
-                      make_map_op(check::OpKind::EnterData, maps, device));
+  if (check::IrOp* op = record(recorder_, hsa_.machine().sched(),
+                               check::OpKind::EnterData, device)) {
+    add_maps(*op, maps);
   }
   // The construct is recorded as one EnterData op; suppress the nested
   // DataBegin record the implementation below would otherwise add.
@@ -994,9 +993,9 @@ void OffloadRuntime::target_enter_data(std::span<const MapEntry> maps,
 
 void OffloadRuntime::target_exit_data(std::span<const MapEntry> maps,
                                       int device) {
-  if (recorder_ != nullptr) {
-    recorder_->record(hsa_.machine().sched(),
-                      make_map_op(check::OpKind::ExitData, maps, device));
+  if (check::IrOp* op = record(recorder_, hsa_.machine().sched(),
+                               check::OpKind::ExitData, device)) {
+    add_maps(*op, maps);
   }
   check::SuppressScope suppress{recorder_, hsa_.machine().sched()};
   target_data_end(maps, device);
@@ -1012,11 +1011,11 @@ void OffloadRuntime::target_update_from(const MapEntry& entry, int device) {
 
 void OffloadRuntime::target_update(const MapEntry& entry, int device,
                                    bool to_device) {
-  if (recorder_ != nullptr) {
-    recorder_->record(hsa_.machine().sched(),
-                      make_map_op(to_device ? check::OpKind::UpdateTo
-                                            : check::OpKind::UpdateFrom,
-                                  {&entry, 1}, device));
+  if (check::IrOp* op = record(
+          recorder_, hsa_.machine().sched(),
+          to_device ? check::OpKind::UpdateTo : check::OpKind::UpdateFrom,
+          device)) {
+    add_maps(*op, {&entry, 1});
   }
   ensure_initialized();
   check_device(device);
@@ -1154,9 +1153,9 @@ void OffloadRuntime::target(const TargetRegion& region) {
   const int device =
       region.device == kDeviceAuto ? resolve_device(region) : region.device;
   check_device(device);
-  if (recorder_ != nullptr) {
-    recorder_->record(hsa_.machine().sched(),
-                      make_region_op(region, device, /*nowait=*/false, 0));
+  if (check::IrOp* op = record(recorder_, hsa_.machine().sched(),
+                               check::OpKind::Kernel, device)) {
+    add_region(*op, region);
   }
   // One Kernel op stands for the whole construct; the data-begin/data-end
   // halves below must not add their own records (per-thread suppression:
@@ -1194,8 +1193,12 @@ TargetTask OffloadRuntime::target_nowait(const TargetRegion& region,
   std::uint64_t token = 0;
   if (recorder_ != nullptr) {
     token = recorder_->issue_token(hsa_.machine().sched());
-    recorder_->record(hsa_.machine().sched(),
-                      make_region_op(region, device, /*nowait=*/true, token));
+  }
+  if (check::IrOp* op = record(recorder_, hsa_.machine().sched(),
+                               check::OpKind::Kernel, device)) {
+    add_region(*op, region);
+    op->nowait = true;
+    op->token = token;
   }
   check::SuppressScope suppress{recorder_, hsa_.machine().sched()};
   sim::TimePoint not_before;
@@ -1252,15 +1255,14 @@ void OffloadRuntime::target_wait(TargetTask& task) {
   if (!task.valid()) {
     throw MappingError("target_wait: empty task", ErrorCode::TaskMisuse);
   }
-  if (recorder_ != nullptr) {
-    // The wait op carries a copy of the dispatch's map list so the
-    // analyzer can replay the data-end half at the correct point of the
-    // *waiting* thread's program order.
-    check::IrOp op =
-        make_map_op(check::OpKind::KernelWait, task.maps_, task.device_);
-    op.name = task.launch_.name;
-    op.token = task.check_token_;
-    recorder_->record(hsa_.machine().sched(), std::move(op));
+  // The wait op carries a copy of the dispatch's map list so the analyzer
+  // can replay the data-end half at the correct point of the *waiting*
+  // thread's program order.
+  if (check::IrOp* op = record(recorder_, hsa_.machine().sched(),
+                               check::OpKind::KernelWait, task.device_)) {
+    add_maps(*op, task.maps_);
+    op->name = task.launch_.name;
+    op->token = task.check_token_;
   }
   check::SuppressScope suppress{recorder_, hsa_.machine().sched()};
   await_kernel(task.signal_, task.launch_, task.host_thread_);
@@ -1279,23 +1281,20 @@ mem::VirtAddr OffloadRuntime::device_alloc(std::uint64_t bytes,
     sim::Scheduler& sched = hsa_.machine().sched();
     recorder_->add_buffer(sched, mem::AddrRange{addr, bytes}, label,
                           check::BufKind::DevicePool);
-    check::IrOp op;
-    op.kind = check::OpKind::DeviceAlloc;
-    op.device = device;
-    op.range = mem::AddrRange{addr, bytes};
-    recorder_->record(sched, std::move(op));
+    if (check::IrOp* op =
+            record(recorder_, sched, check::OpKind::DeviceAlloc, device)) {
+      op->range = mem::AddrRange{addr, bytes};
+    }
   }
   return addr;
 }
 
 void OffloadRuntime::device_free(mem::VirtAddr ptr) {
   ensure_initialized();
-  if (recorder_ != nullptr) {
+  if (check::IrOp* op = record(recorder_, hsa_.machine().sched(),
+                               check::OpKind::DeviceFree)) {
     const mem::Allocation* const a = hsa_.memory().space().find(ptr);
-    check::IrOp op;
-    op.kind = check::OpKind::DeviceFree;
-    op.range = a != nullptr ? a->range() : mem::AddrRange{ptr, 0};
-    recorder_->record(hsa_.machine().sched(), std::move(op));
+    op->range = a != nullptr ? a->range() : mem::AddrRange{ptr, 0};
   }
   hsa_.memory_pool_free(ptr);
 }
@@ -1303,12 +1302,10 @@ void OffloadRuntime::device_free(mem::VirtAddr ptr) {
 void OffloadRuntime::target_memcpy(mem::VirtAddr dst, mem::VirtAddr src,
                                    std::uint64_t bytes) {
   ensure_initialized();
-  if (recorder_ != nullptr) {
-    check::IrOp op;
-    op.kind = check::OpKind::Memcpy;
-    op.range = mem::AddrRange{dst, bytes};
-    op.src = mem::AddrRange{src, bytes};
-    recorder_->record(hsa_.machine().sched(), std::move(op));
+  if (check::IrOp* op = record(recorder_, hsa_.machine().sched(),
+                               check::OpKind::Memcpy)) {
+    op->range = mem::AddrRange{dst, bytes};
+    op->src = mem::AddrRange{src, bytes};
   }
   // The copy runs on the SDMA engine of the socket homing the destination —
   // writes stay local to the engine, reads cross the fabric.
@@ -1331,12 +1328,9 @@ std::uint64_t OffloadRuntime::migrate_to_device(mem::AddrRange range,
                                                 int device) {
   ensure_initialized();
   check_device(device);
-  if (recorder_ != nullptr) {
-    check::IrOp op;
-    op.kind = check::OpKind::Migrate;
-    op.device = device;
-    op.range = range;
-    recorder_->record(hsa_.machine().sched(), std::move(op));
+  if (check::IrOp* op = record(recorder_, hsa_.machine().sched(),
+                               check::OpKind::Migrate, device)) {
+    op->range = range;
   }
   {
     // Placement is a pricing input: cached Adaptive Maps decisions for the

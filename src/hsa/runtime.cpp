@@ -1,6 +1,7 @@
 #include "zc/hsa/runtime.hpp"
 
 #include <algorithm>
+#include <string_view>
 #include <utility>
 
 namespace zc::hsa {
@@ -284,14 +285,16 @@ Signal Runtime::memory_async_copy(mem::VirtAddr dst, mem::VirtAddr src,
       const std::uint64_t pb = mem_.page_bytes();
       const mem::AddrRange srange{src, bytes};
       const mem::AddrRange drange{dst, bytes};
+      race_site_.assign("dma-copy-read('").append(src_alloc->name());
+      race_site_.append("')");
       h->on_host_pages(srange.first_page(pb),
                        srange.end_page(pb) - srange.first_page(pb),
-                       /*is_write=*/false,
-                       "dma-copy-read('" + src_alloc->name() + "')");
+                       /*is_write=*/false, race_site_);
+      race_site_.assign("dma-copy-write('").append(dst_alloc->name());
+      race_site_.append("')");
       h->on_host_pages(drange.first_page(pb),
                        drange.end_page(pb) - drange.first_page(pb),
-                       /*is_write=*/true,
-                       "dma-copy-write('" + dst_alloc->name() + "')");
+                       /*is_write=*/true, race_site_);
     }
     mem_.space().copy(dst, src, bytes);
   }
@@ -801,20 +804,23 @@ Signal Runtime::dispatch_kernel(const KernelLaunch& launch, int host_thread,
   // so they deliberately record no task and no accesses.
   int race_task = -1;
   if (sim::ConcurrencyHooks* h = sched().hooks()) {
-    race_task = h->on_task_begin("kernel:" + launch.name, launch.device);
+    race_site_.assign("kernel:").append(launch.name);
+    race_task = h->on_task_begin(race_site_, launch.device);
     for (const Signal& dep : depends) {
       h->on_task_acquire(race_task, dep.id());
     }
     const std::uint64_t pb = mem_.page_bytes();
+    const std::size_t kernel = race_site_.size();
     for (const BufferAccess& b : launch.buffers) {
       const mem::Allocation* a = mem_.space().find(b.addr);
-      const std::string site =
-          "kernel:" + launch.name + "(" +
-          (a != nullptr ? a->name() : std::string{"?"}) + ")";
+      race_site_.resize(kernel);
+      race_site_.append("(").append(a != nullptr ? std::string_view{a->name()}
+                                                 : std::string_view{"?"});
+      race_site_.append(")");
       const mem::AddrRange r = b.range();
       h->on_task_pages(race_task, r.first_page(pb),
                        r.end_page(pb) - r.first_page(pb),
-                       /*is_write=*/b.access != Access::Read, site);
+                       /*is_write=*/b.access != Access::Read, race_site_);
     }
   }
 

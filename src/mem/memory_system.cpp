@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "zc/sim/hooks.hpp"
@@ -234,9 +235,10 @@ std::uint64_t MemorySystem::host_touch(AddrRange range, int toucher_socket) {
   const std::uint64_t end = range.end_page(pb);
   if (sim::ConcurrencyHooks* h = machine_.sched().hooks()) {
     const Allocation* a = space_.find(range.base);
-    const std::string site =
-        "host_touch('" + (a != nullptr ? a->name() : std::string{"?"}) + "')";
-    h->on_host_pages(first, end - first, /*is_write=*/true, site);
+    race_site_.assign("host_touch('").append(
+        a != nullptr ? std::string_view{a->name()} : std::string_view{"?"});
+    race_site_.append("')");
+    h->on_host_pages(first, end - first, /*is_write=*/true, race_site_);
   }
   const std::uint64_t created = materialize(first, end, toucher_socket);
   note_touch(range, toucher_socket);

@@ -34,9 +34,12 @@ int Detector::self_slot() {
 }
 
 int Detector::slot_for_thread(int thread_id) {
-  const auto it = thread_slot_.find(thread_id);
-  if (it != thread_slot_.end()) {
-    return it->second;
+  const auto id = static_cast<std::size_t>(thread_id);
+  if (id >= thread_slot_.size()) {
+    thread_slot_.resize(id + 1, -1);
+  }
+  if (thread_slot_[id] >= 0) {
+    return thread_slot_[id];
   }
   // First sighting (the detector was attached after this thread spawned):
   // order it after every drained predecessor, like an outside spawn.
@@ -44,9 +47,9 @@ int Detector::slot_for_thread(int thread_id) {
   Actor a;
   a.clock = drain_;
   a.clock.set(slot, 1);
-  a.name = sched_->thread(static_cast<std::size_t>(thread_id)).name();
+  a.name = sched_->thread(id).name();
   actors_.push_back(std::move(a));
-  thread_slot_.emplace(thread_id, slot);
+  thread_slot_[id] = slot;
   return slot;
 }
 
@@ -62,6 +65,33 @@ std::shared_ptr<const VectorClock> Detector::snapshot(int slot) {
     a.snap = std::make_shared<const VectorClock>(a.clock);
   }
   return a.snap;
+}
+
+std::string Detector::actor_name(const Actor& a) {
+  if (a.device < 0) {
+    return a.name;
+  }
+  std::string name = a.name;
+  name += "@dev";
+  name += std::to_string(a.device);
+  return name;
+}
+
+VectorClock& Detector::sync_clock(const void* obj) {
+  if (spare_sync_.empty()) {
+    return sync_[obj];
+  }
+  // One lookup either way: a live object keeps its clock and the spare node
+  // comes back; a new one takes the node, emptied.
+  spare_sync_.back().key() = obj;
+  auto placed = sync_.insert(std::move(spare_sync_.back()));
+  if (placed.inserted) {
+    spare_sync_.pop_back();
+    placed.position->second.clear();
+  } else {
+    spare_sync_.back() = std::move(placed.node);
+  }
+  return placed.position->second;
 }
 
 void Detector::on_spawn(int parent_id, int child_id) {
@@ -83,7 +113,11 @@ void Detector::on_spawn(int parent_id, int child_id) {
   a.clock.set(slot, 1);
   a.name = sched_->thread(static_cast<std::size_t>(child_id)).name();
   actors_.push_back(std::move(a));
-  thread_slot_[child_id] = slot;
+  const auto id = static_cast<std::size_t>(child_id);
+  if (id >= thread_slot_.size()) {
+    thread_slot_.resize(id + 1, -1);
+  }
+  thread_slot_[id] = slot;
 }
 
 void Detector::on_finish(int thread_id) {
@@ -98,7 +132,7 @@ void Detector::on_release(const void* obj, sim::SyncKind /*kind*/) {
   if (slot < 0) {
     return;
   }
-  sync_[obj].join(actors_[static_cast<std::size_t>(slot)].clock);
+  sync_clock(obj).join(actors_[static_cast<std::size_t>(slot)].clock);
   mutate(slot).clock.tick(slot);
 }
 
@@ -116,7 +150,9 @@ void Detector::on_acquire(const void* obj, sim::SyncKind /*kind*/) {
 void Detector::on_retire(const void* obj) {
   // A dead object's clock would order the acquirers of whatever object is
   // born next at its address after its releasers.
-  sync_.erase(obj);
+  if (auto node = sync_.extract(obj)) {
+    spare_sync_.push_back(std::move(node));
+  }
 }
 
 int Detector::on_task_begin(std::string_view what, int device) {
@@ -124,7 +160,6 @@ int Detector::on_task_begin(std::string_view what, int device) {
   if (slot < 0) {
     return -1;
   }
-  const std::string name = std::string{what} + "@dev" + std::to_string(device);
   // Sequential-dispatch fast path: if this thread's previous task has ended
   // and the thread has synchronized with it (its clock covers the task's
   // epoch — it waited on the completion signal), the previous task happened-
@@ -132,19 +167,19 @@ int Detector::on_task_begin(std::string_view what, int device) {
   // covering the new epoch is ordered after the new task, hence after every
   // older task on the slot too. A previous task still in flight (nowait
   // chain) is unordered with this one and keeps its slot.
-  if (const auto it = thread_task_slot_.find(slot);
-      it != thread_task_slot_.end()) {
-    const int ts = it->second;
+  if (const int ts = actors_[static_cast<std::size_t>(slot)].last_task;
+      ts >= 0) {
     Actor& t = actors_[static_cast<std::size_t>(ts)];
     const std::uint64_t v = t.clock.of(ts);
     if (t.done &&
         actors_[static_cast<std::size_t>(slot)].clock.of(ts) >= v) {
       t.clock = actors_[static_cast<std::size_t>(slot)].clock;
       t.clock.set(ts, v + 1);
-      t.name = name;
+      t.name.assign(what);
+      t.device = device;
       t.done = false;
+      t.retired = false;
       t.snap.reset();
-      retired_.erase(ts);
       mutate(slot).clock.tick(slot);
       return ts;
     }
@@ -153,11 +188,11 @@ int Detector::on_task_begin(std::string_view what, int device) {
   Actor a;
   a.clock = actors_[static_cast<std::size_t>(slot)].clock;
   a.clock.set(task, 1);
-  a.name = name;
-  a.is_task = true;
+  a.name.assign(what);
+  a.device = device;
   actors_.push_back(std::move(a));
   mutate(slot).clock.tick(slot);
-  thread_task_slot_[slot] = task;
+  actors_[static_cast<std::size_t>(slot)].last_task = task;
   return task;
 }
 
@@ -211,9 +246,9 @@ void Detector::on_task_end(int task, const void* completion_obj) {
     return;
   }
   Actor& a = actors_[static_cast<std::size_t>(task)];
-  sync_[completion_obj].join(a.clock);
+  sync_clock(completion_obj).join(a.clock);
   a.done = true;
-  retired_.insert(task);
+  a.retired = true;
   if (++ends_since_compact_ >= kCompactEvery) {
     compact();
   }
@@ -273,26 +308,30 @@ void Detector::compact() {
   // garbage — a retired task never acts again, and epochs only ever
   // originate from shadows, so a slot absent from every shadow can never
   // be compared against again.
-  std::set<int> live;
-  const auto note = [&](const Shadow& sh) {
-    if (sh.write.epoch.valid() && retired_.contains(sh.write.epoch.slot)) {
-      live.insert(sh.write.epoch.slot);
-    }
-    for (const Access& r : sh.reads) {
-      if (retired_.contains(r.epoch.slot)) {
-        live.insert(r.epoch.slot);
-      }
+  std::vector<bool> live(actors_.size());
+  const auto note = [&](Epoch e) {
+    if (e.valid() && actors_[static_cast<std::size_t>(e.slot)].retired) {
+      live[static_cast<std::size_t>(e.slot)] = true;
     }
   };
   for (const auto& [page, sh] : pages_) {
-    note(sh);
+    note(sh.write.epoch);
+    for (const Access& r : sh.reads) {
+      note(r.epoch);
+    }
   }
   const auto dead = [&](int slot) {
-    return retired_.contains(slot) && !live.contains(slot);
+    const auto s = static_cast<std::size_t>(slot);
+    return actors_[s].retired && !live[s];
   };
   for (std::size_t i = 0; i < actors_.size(); ++i) {
     Actor& a = actors_[i];
     const int self = static_cast<int>(i);
+    // A done actor's clock is never read again but for its own component,
+    // which a reused slot continues from, so only live clocks are swept.
+    if (a.done) {
+      continue;
+    }
     // An actor keeps its own component (its epochs must stay stampable
     // even if it is itself retired); everything dead is dropped.
     if (a.clock.prune([&](int s) { return s != self && dead(s); }) > 0) {
@@ -308,7 +347,9 @@ void Detector::compact() {
   // clock is never joined anywhere after its completion release — they
   // cannot re-propagate, so stop tracking them. Still-live slots stay
   // retired and are collected by a later pass.
-  std::erase_if(retired_, [&](int s) { return !live.contains(s); });
+  for (std::size_t s = 0; s < actors_.size(); ++s) {
+    actors_[s].retired = actors_[s].retired && live[s];
+  }
 }
 
 void Detector::check(Shadow& sh, std::uint64_t page, int slot, bool is_write,
@@ -325,7 +366,7 @@ void Detector::check(Shadow& sh, std::uint64_t page, int slot, bool is_write,
     return;
   }
   const auto make_access = [&](bool w) {
-    return Access{cur, w, a.name, std::string{site}, snapshot(slot)};
+    return Access{cur, w, actor_name(a), std::string{site}, snapshot(slot)};
   };
   if (sh.write.epoch.valid() && sh.write.epoch.slot != slot &&
       !clock.covers(sh.write.epoch)) {
